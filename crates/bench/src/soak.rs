@@ -9,8 +9,8 @@
 //! shapes:
 //!
 //! * [`replay_engine`] — in-process: pool solves go through the worker pool
-//!   via [`Engine::submit`] (latencies harvested at completion by a
-//!   collector thread), session frames run inline through
+//!   via [`Engine::submit_notify`] (each latency taken by its completion
+//!   hook), session frames run inline through
 //!   [`ccs_engine::handle_session_frame`] exactly as the service layers do,
 //! * [`replay_netd`] — over real TCP: a [`NetServer`] on an ephemeral
 //!   loopback port, several client connections with the trace partitioned
@@ -29,7 +29,7 @@
 use crate::report::BenchCase;
 use ccs_core::{CcsError, Instance, ScheduleKind};
 use ccs_engine::wire::{self, SessionAck, SessionFrame, WireRequest};
-use ccs_engine::{handle_session_frame, Engine, NetServer, NetdConfig, SolveHandle, SolveRequest};
+use ccs_engine::{handle_session_frame, Engine, NetServer, NetdConfig, SolveRequest};
 use ccs_gen::trace::{Trace, TraceDelta, TraceEvent, TraceOp};
 use ccs_session::{InstanceDelta, NewJob, SessionInstance, SessionStore};
 use std::collections::HashMap;
@@ -39,10 +39,6 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
-
-/// Collector idle sleep between completion sweeps (bounds the latency
-/// measurement error of the in-process path).
-const POLL_SLEEP: Duration = Duration::from_micros(20);
 
 /// How long a connection driver waits for a session acknowledgement before
 /// declaring the replay wedged (session frames are answered inline by the
@@ -319,7 +315,7 @@ fn open_instance(machines: u64, class_slots: u64, jobs: &[(u64, u32)]) -> Sessio
 // ---------------------------------------------------------------------------
 
 /// Runs a replay driver on a worker-sized stack.  Session-frame solves run
-/// inline on the driving thread (in-process replay) or on the netd poll
+/// inline on the driving thread (in-process replay) or on the netd I/O
 /// thread (TCP replay), and the accuracy-exponential pipelines recurse too
 /// deeply for a default 2 MiB thread stack in debug builds — give the
 /// drivers the same headroom the engine's own pool threads get.
@@ -349,47 +345,10 @@ fn replay_engine_inner(trace: &Trace, config: &SoakConfig) -> SoakOutcome {
         .with_cache(config.cache);
     let pool: Vec<Arc<Instance>> = trace.pool.iter().cloned().map(Arc::new).collect();
 
-    // The collector harvests worker-pool handles as they finish, so each
-    // request's latency is measured at its own completion (within
-    // POLL_SLEEP), not at some later synchronisation point.
-    let (tx, rx) = mpsc::channel::<(Instant, SolveHandle)>();
-    let collector = thread::spawn(move || {
-        let mut pending: Vec<(Instant, SolveHandle)> = Vec::new();
-        let mut latencies = Vec::new();
-        let mut ok = 0u64;
-        let mut errors = 0u64;
-        let mut open = true;
-        while open || !pending.is_empty() {
-            loop {
-                match rx.try_recv() {
-                    Ok(entry) => pending.push(entry),
-                    Err(mpsc::TryRecvError::Empty) => break,
-                    Err(mpsc::TryRecvError::Disconnected) => {
-                        open = false;
-                        break;
-                    }
-                }
-            }
-            let mut progressed = false;
-            pending.retain(|(sent, handle)| match handle.poll() {
-                None => true,
-                Some(result) => {
-                    progressed = true;
-                    latencies.push(elapsed_ns(*sent));
-                    match result {
-                        Ok(_) => ok += 1,
-                        Err(_) => errors += 1,
-                    }
-                    false
-                }
-            });
-            if !progressed && (open || !pending.is_empty()) {
-                thread::sleep(POLL_SLEEP);
-            }
-        }
-        (latencies, ok, errors)
-    });
-
+    // Each pool solve's completion hook measures its latency the moment the
+    // result is published; the handles are kept only for the outcomes.
+    let (done, latencies) = mpsc::channel::<u64>();
+    let mut handles = Vec::new();
     let started = Instant::now();
     let mut sessions = SessionStore::new();
     let mut chains: HashMap<u32, ChainState> = HashMap::new();
@@ -408,8 +367,12 @@ fn replay_engine_inner(trace: &Trace, config: &SoakConfig) -> SoakOutcome {
             } => {
                 let req = solve_request(*model, *epsilon, *budget_ms);
                 let sent = Instant::now();
-                let handle = engine.submit(Arc::clone(&pool[*idx]), &req);
-                tx.send((sent, handle)).expect("collector is alive");
+                let done = done.clone();
+                handles.push(
+                    engine.submit_notify(Arc::clone(&pool[*idx]), &req, move || {
+                        let _ = done.send(elapsed_ns(sent));
+                    }),
+                );
                 continue;
             }
             TraceOp::Open {
@@ -465,13 +428,18 @@ fn replay_engine_inner(trace: &Trace, config: &SoakConfig) -> SoakOutcome {
             },
         }
     }
-    drop(tx);
-    let (mut latencies, ok, errors) = collector.join().expect("collector thread");
+    // Every hook owns a sender clone, so this ends once all solves are done.
+    drop(done);
+    let mut latencies: Vec<u64> = latencies.iter().collect();
     let wall_ns = elapsed_ns(started);
+    for handle in handles {
+        match handle.wait() {
+            Ok(_) => counters.ok += 1,
+            Err(_) => counters.errors += 1,
+        }
+    }
     latencies.extend(session_latencies);
     counters.completed = latencies.len() as u64;
-    counters.ok += ok;
-    counters.errors += errors;
     let stats = engine.stats();
     counters.cache_hits = stats.cache_hits;
     counters.cache_misses = stats.cache_misses;
@@ -518,7 +486,7 @@ fn replay_netd_inner(trace: &Trace, config: &SoakConfig) -> std::io::Result<Soak
     let server = NetServer::bind(engine, "127.0.0.1:0", NetdConfig::default())?;
     let addr = server.local_addr()?;
     let handle = server.handle();
-    // The netd poll loop runs session solves inline: worker-sized stack.
+    // The netd I/O loop runs session solves inline: worker-sized stack.
     let server_thread = thread::Builder::new()
         .name("soak-netd".into())
         .stack_size(ccs_core::par::WORKER_STACK_BYTES)
@@ -594,6 +562,9 @@ fn run_conn(
     pace_arrivals: bool,
 ) -> std::io::Result<ConnOutcome> {
     let mut stream = TcpStream::connect(addr)?;
+    // Nagle would hold a frame written right after an unacknowledged one
+    // until the delayed ACK (~40 ms on Linux).
+    stream.set_nodelay(true)?;
     let sent_at: SentMap = Arc::new(Mutex::new(HashMap::new()));
     let (ack_tx, ack_rx) = mpsc::channel::<ChainReply>();
     let reader_stream = stream.try_clone()?;
@@ -610,10 +581,10 @@ fn run_conn(
     };
 
     let mut chains: HashMap<u32, ChainState> = HashMap::new();
-    let send = |stream: &mut TcpStream, id: String, line: String| -> std::io::Result<()> {
+    let send = |stream: &mut TcpStream, id: String, mut line: String| -> std::io::Result<()> {
+        line.push('\n');
         sent_at.lock().expect("sent map").insert(id, Instant::now());
-        stream.write_all(line.as_bytes())?;
-        stream.write_all(b"\n")
+        stream.write_all(line.as_bytes())
     };
     for (seq, event) in events.iter().enumerate() {
         if pace_arrivals {

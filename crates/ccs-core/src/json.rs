@@ -331,11 +331,19 @@ pub fn error_from_json(value: &JsonValue) -> Result<CcsError> {
     }
 }
 
-/// Parses a JSON document; trailing non-whitespace input is an error.
+/// Deepest array/object nesting [`parse`] accepts.  The parser recurses once
+/// per level, so an unbounded depth would let one line of a few hundred
+/// thousand `[` overflow the thread's stack and abort the process — which
+/// no `catch_unwind` can stop.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses a JSON document; trailing non-whitespace input is an error, and so
+/// is nesting deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<JsonValue> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -353,6 +361,8 @@ fn err(msg: &str) -> CcsError {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -394,11 +404,21 @@ impl Parser<'_> {
             Some(b't') => self.eat_literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.eat_literal("false", JsonValue::Bool(false)),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             _ => Err(err("unexpected character")),
         }
+    }
+
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<JsonValue>) -> Result<JsonValue> {
+        if self.depth == MAX_DEPTH {
+            return Err(err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<JsonValue> {
@@ -590,6 +610,21 @@ mod tests {
     fn nested_arrays() {
         let v = parse("[[1],[2,[3]]]").unwrap();
         assert_eq!(v.as_array().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let deep = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            deep,
+            CcsError::invalid_instance("JSON: nesting deeper than 128 levels")
+        );
+        // Objects count too, and a bomb far past any stack's reach is an
+        // ordinary error rather than an abort.
+        assert!(parse(&format!("{}1{}", "{\"a\":".repeat(129), "}".repeat(129))).is_err());
+        assert_eq!(parse(&"[".repeat(1_000_000)).unwrap_err(), deep);
     }
 
     #[test]

@@ -2,13 +2,14 @@
 //!
 //! Reads `ccs-wire/1` request frames from stdin (one JSON object per line),
 //! submits each to the engine's worker pool as soon as it is parsed, and
-//! writes one response frame per request to stdout.  Responses are emitted
-//! by a dedicated writer thread as requests complete — a synchronous client
-//! that sends one request and waits for its answer before sending the next
-//! is served correctly.  Responses may arrive out of order; match them to
-//! requests by `id`.  Malformed lines produce an error frame with
-//! `"id": ""` instead of killing the service.  An `"op": "stats"` frame is
-//! answered inline with the engine's counters (see `docs/WIRE.md` §6).
+//! writes one response frame per request to stdout as requests complete —
+//! a synchronous client that sends one request and waits for its answer
+//! before sending the next is served correctly.  Responses may arrive out
+//! of order; match them to requests by `id`.  Malformed lines produce an
+//! error frame instead of killing the service.  An `"op": "stats"` frame is
+//! answered inline with the engine's and this connection's counters (see
+//! `docs/WIRE.md` §6).  Stdin is one `ccs_engine::Connection`, the same
+//! state machine `ccs-netd` runs per socket.
 //!
 //! ```text
 //! printf '%s\n' '{"schema":"ccs-wire/1","id":"a","instance":{...},"model":"splittable"}' \
@@ -26,43 +27,16 @@
 //!   `"cache": "hit" | "miss"`, and hit-rate statistics are printed to
 //!   stderr at EOF.
 
-use ccs_engine::wire::{self, ServiceStats, WireFrame, WireRequest};
-use ccs_engine::{handle_session_frame, Engine, SolveHandle};
-use ccs_session::SessionStore;
-use std::collections::VecDeque;
-use std::io::{BufRead, Write};
-use std::sync::mpsc::{Receiver, TryRecvError};
-use std::time::Duration;
+use ccs_engine::{Connection, Engine, NetdConfig, Service};
+use std::io::{ErrorKind, Read, Write};
+use std::sync::mpsc::{self, Sender};
 
-enum Outcome {
-    /// A submitted job still owning its handle.
-    Handle(SolveHandle),
-    /// A response already decided at parse time (malformed request).
-    Immediate(String),
-}
-
-struct Pending {
-    id: String,
-    outcome: Outcome,
-}
-
-impl Pending {
-    fn is_finished(&self) -> bool {
-        match &self.outcome {
-            Outcome::Handle(handle) => handle.is_finished(),
-            Outcome::Immediate(_) => true,
-        }
-    }
-
-    fn into_line(self) -> String {
-        match self.outcome {
-            Outcome::Handle(handle) => match handle.wait() {
-                Ok(solution) => wire::solution_to_json(&self.id, &solution).to_json(),
-                Err(error) => wire::error_response_to_json(&self.id, &error).to_json(),
-            },
-            Outcome::Immediate(line) => line,
-        }
-    }
+/// What the main loop waits for: input from the stdin pump, or a solve
+/// completion from the engine's workers.
+enum Event {
+    Input(Vec<u8>),
+    Eof,
+    Completed,
 }
 
 fn main() {
@@ -103,90 +77,56 @@ fn main() {
         engine = engine.with_cache(entries);
     }
 
-    // Completed responses are written by a dedicated thread so clients that
-    // wait for an answer before sending the next request are never starved
-    // while this thread blocks on stdin.
-    let (tx, rx) = std::sync::mpsc::channel::<Pending>();
-    let writer = std::thread::Builder::new()
-        .name("ccs-serve-writer".to_string())
-        .spawn(move || writer_loop(&rx, ordered))
-        .expect("spawning the writer thread");
+    // One client, so its in-flight cap is the whole queue budget: the
+    // connection is throttled at the budget, never shed.
+    let budget = NetdConfig::default().queue_budget;
+    let config = NetdConfig {
+        max_inflight_per_conn: budget,
+        queue_budget: budget,
+        ordered,
+        ..NetdConfig::default()
+    };
+    let (events, inbox) = mpsc::channel();
+    let completions = events.clone();
+    let mut service = Service::new(engine, config, move || {
+        let _ = completions.send(Event::Completed);
+    });
+    let mut conn = Connection::open(&mut service);
+    // Reading stdin on its own thread keeps answers flowing while the next
+    // request has not arrived yet.
+    let pump = std::thread::Builder::new()
+        .name("ccs-serve-stdin".to_string())
+        .spawn(move || pump_stdin(&events))
+        .expect("spawning the stdin pump");
 
-    // Sessions are process-scoped in ccs-serve (one stdin, one client).
-    let mut sessions = SessionStore::new();
-
-    let stdin = std::io::stdin();
-    for line in stdin.lock().lines() {
-        let line = match line {
-            Ok(line) => line,
-            Err(e) => {
-                eprintln!("ccs-serve: stdin error: {e}");
-                break;
+    let stdout = std::io::stdout();
+    let mut stdout = stdout.lock();
+    let mut out = Vec::new();
+    let mut eof = false;
+    while !(eof && conn.is_idle()) {
+        match inbox.recv().expect("the service holds a sender") {
+            Event::Input(bytes) => conn.receive(&bytes),
+            Event::Eof => {
+                eof = true;
+                conn.finish_input();
             }
-        };
-        if line.trim().is_empty() {
-            continue;
+            Event::Completed => {}
         }
-        let pending = match wire::frame_from_line(&line) {
-            Ok(WireFrame::Request(WireRequest {
-                id,
-                instance,
-                request,
-                // ccs-serve enforces no quotas; the label is accepted so the
-                // same frames replay through ccs-netd, then ignored.
-                tenant: _,
-            })) => {
-                let handle = engine.submit(instance, &request);
-                Pending {
-                    id,
-                    outcome: Outcome::Handle(handle),
-                }
+        conn.advance(&mut service, &mut out);
+        if !out.is_empty() {
+            if stdout
+                .write_all(&out)
+                .and_then(|()| stdout.flush())
+                .is_err()
+            {
+                // Downstream closed the pipe; nothing sensible left to do.
+                std::process::exit(0);
             }
-            Ok(WireFrame::Session(frame)) => {
-                // Session frames are decided inline (solves run on this
-                // thread — see `ccs_engine::session`), so the response is
-                // ready before the next line is read.
-                let id = frame.id().to_string();
-                let (line, _event) = handle_session_frame(frame, &engine, &mut sessions);
-                Pending {
-                    id,
-                    outcome: Outcome::Immediate(line),
-                }
-            }
-            Ok(WireFrame::Stats { id }) => {
-                // In-band stats poll: engine counters only — ccs-serve has no
-                // connections or admission control, so those stay zero.
-                let stats = ServiceStats {
-                    engine: engine.stats(),
-                    ..ServiceStats::default()
-                };
-                let frame = wire::stats_response_to_json(&id, &stats).to_json();
-                Pending {
-                    id,
-                    outcome: Outcome::Immediate(frame),
-                }
-            }
-            Err(error) => {
-                // The id may be unrecoverable from a malformed line; echo
-                // what we can so the client can at least count failures.
-                let id = ccs_core::json::parse(&line)
-                    .ok()
-                    .and_then(|v| v.get("id").and_then(|i| i.as_str().map(str::to_string)))
-                    .unwrap_or_default();
-                let frame = wire::error_response_to_json(&id, &error).to_json();
-                Pending {
-                    id,
-                    outcome: Outcome::Immediate(frame),
-                }
-            }
-        };
-        if tx.send(pending).is_err() {
-            break; // writer exited (broken stdout pipe)
+            out.clear();
         }
     }
-    drop(tx); // EOF: the writer drains the stragglers and exits.
-    let _ = writer.join();
-    if let Some(stats) = engine.cache_stats() {
+    pump.join().expect("the stdin pump does not panic");
+    if let Some(stats) = service.engine().cache_stats() {
         // One machine-parseable line for operators and the CI hit-rate
         // artifact; stdout stays reserved for response frames.
         eprintln!(
@@ -200,73 +140,24 @@ fn main() {
     }
 }
 
-/// Receives pending responses from the reader and emits each as soon as it
-/// completes (with `ordered`, as soon as everything before it has been
-/// emitted).  Returns when the channel closes and the backlog is drained.
-fn writer_loop(rx: &Receiver<Pending>, ordered: bool) {
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    let mut pending: VecDeque<Pending> = VecDeque::new();
-    let mut open = true;
+/// Forwards stdin to the main loop until EOF (a read error counts as EOF).
+fn pump_stdin(events: &Sender<Event>) {
+    let mut stdin = std::io::stdin().lock();
+    let mut buf = vec![0u8; 64 * 1024];
     loop {
-        // Ingest everything the reader has submitted so far.
-        while open {
-            match rx.try_recv() {
-                Ok(p) => pending.push_back(p),
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => open = false,
+        match stdin.read(&mut buf) {
+            Ok(0) => break,
+            Ok(n) => {
+                if events.send(Event::Input(buf[..n].to_vec())).is_err() {
+                    return;
+                }
             }
-        }
-        let wrote = drain_finished(&mut out, &mut pending, ordered);
-        if wrote {
-            continue;
-        }
-        if pending.is_empty() {
-            if !open {
-                return;
-            }
-            // Idle: block until the reader submits the next request.
-            match rx.recv() {
-                Ok(p) => pending.push_back(p),
-                Err(_) => open = false,
-            }
-        } else {
-            // Something is in flight: block briefly on the oldest handle.
-            if let Some(Pending {
-                outcome: Outcome::Handle(handle),
-                ..
-            }) = pending.front()
-            {
-                let _ = handle.wait_timeout(Duration::from_millis(1));
-            }
-        }
-    }
-}
-
-/// Writes finished responses; with `ordered` only the completed prefix is
-/// emitted.  Returns whether anything was written.
-fn drain_finished(out: &mut impl Write, pending: &mut VecDeque<Pending>, ordered: bool) -> bool {
-    let mut wrote = false;
-    let mut index = 0;
-    while index < pending.len() {
-        if !pending[index].is_finished() {
-            if ordered {
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => {
+                eprintln!("ccs-serve: stdin error: {e}");
                 break;
             }
-            index += 1;
-            continue;
         }
-        let p = pending.remove(index).expect("index in bounds");
-        let line = p.into_line();
-        emit(out, &line);
-        wrote = true;
     }
-    wrote
-}
-
-fn emit(out: &mut impl Write, line: &str) {
-    if writeln!(out, "{line}").and_then(|()| out.flush()).is_err() {
-        // Downstream closed the pipe; nothing sensible left to do.
-        std::process::exit(0);
-    }
+    let _ = events.send(Event::Eof);
 }

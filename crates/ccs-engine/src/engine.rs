@@ -291,7 +291,7 @@ impl Engine {
     }
 
     /// Submits a request to the worker pool and returns immediately with a
-    /// [`SolveHandle`] to poll, wait on, or cancel.
+    /// [`SolveHandle`] to wait on or cancel.
     ///
     /// The request's budget starts counting now — a job that waits in the
     /// queue past its deadline fails with [`CcsError::DeadlineExceeded`]
@@ -301,7 +301,26 @@ impl Engine {
     /// `Arc` to share one instance across many submissions without cloning
     /// its job data).
     pub fn submit(&self, inst: impl Into<Arc<Instance>>, req: &SolveRequest) -> SolveHandle {
-        let ticket = Arc::new(Ticket::new(req.budget));
+        self.submit_notify(inst, req, || {})
+    }
+
+    /// [`Engine::submit`] plus a completion hook: `on_complete` runs exactly
+    /// once, right after the result becomes visible through the handle
+    /// ([`SolveHandle::is_finished`] is `true` by then), on every path that
+    /// ends the job — including cancellation at pool shutdown.  A front end
+    /// hands in a channel send (or a thread unpark) and blocks until woken
+    /// instead of polling its handles.
+    ///
+    /// The hook runs on the completing thread (usually a worker) outside the
+    /// worker's panic guard, so it must be short and must not panic: ignore
+    /// the error of a send to a receiver that has gone away.
+    pub fn submit_notify(
+        &self,
+        inst: impl Into<Arc<Instance>>,
+        req: &SolveRequest,
+        on_complete: impl FnOnce() + Send + 'static,
+    ) -> SolveHandle {
+        let ticket = Arc::new(Ticket::new(req.budget, Box::new(on_complete)));
         self.pool().submit(Job {
             inst: inst.into(),
             req: *req,
@@ -448,7 +467,7 @@ mod tests {
     }
 
     #[test]
-    fn submit_poll_wait_roundtrip() {
+    fn submit_wait_roundtrip() {
         let engine = Engine::new().with_workers(2);
         let inst = instance_from_pairs(2, 1, &[(6, 0), (1, 0), (5, 1)]).unwrap();
         let handle = engine.submit(
@@ -458,15 +477,79 @@ mod tests {
         let sol = handle.wait().unwrap();
         assert_eq!(sol.solver, "exact-nonpreemptive");
         // A second submission on the same (reused) pool.
-        let handle = engine.submit(inst, &SolveRequest::auto(ScheduleKind::Splittable));
-        while !handle.is_finished() {
-            std::thread::yield_now();
+        let handle = engine.submit(inst.clone(), &SolveRequest::auto(ScheduleKind::Splittable));
+        handle.wait().unwrap().report.validate(&inst).unwrap();
+    }
+
+    #[test]
+    fn completion_hook_fires_after_the_result_is_visible() {
+        let engine = Engine::new().with_workers(1);
+        let inst = instance_from_pairs(2, 1, &[(6, 0), (1, 0), (5, 1)]).unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let handle = engine.submit_notify(
+            inst,
+            &SolveRequest::auto(ScheduleKind::NonPreemptive),
+            move || tx.send(()).unwrap(),
+        );
+        rx.recv().expect("the hook fires");
+        assert!(handle.is_finished());
+        assert!(handle.wait().is_ok());
+    }
+
+    /// Stands in for `exact-nonpreemptive` and holds its worker until the
+    /// run is cancelled.
+    struct Parked;
+
+    impl ccs_core::Solver<ccs_core::NonPreemptiveSchedule> for Parked {
+        fn name(&self) -> &'static str {
+            "exact-nonpreemptive"
         }
-        let polled = handle.poll().expect("finished").unwrap();
-        polled
-            .report
-            .validate(&instance_from_pairs(2, 1, &[(6, 0), (1, 0), (5, 1)]).unwrap())
-            .unwrap();
+        fn kind(&self) -> ScheduleKind {
+            ScheduleKind::NonPreemptive
+        }
+        fn guarantee(&self) -> Guarantee {
+            Guarantee::Exact
+        }
+        fn solve(&self, _: &Instance) -> Result<SolveReport<ccs_core::NonPreemptiveSchedule>> {
+            unreachable!("the engine always runs solvers under a context")
+        }
+        fn solve_ctx(
+            &self,
+            _: &Instance,
+            ctx: &SolveContext,
+        ) -> Result<SolveReport<ccs_core::NonPreemptiveSchedule>> {
+            loop {
+                ctx.checkpoint()?;
+                std::thread::yield_now();
+            }
+        }
+    }
+
+    #[test]
+    fn completion_hook_fires_for_jobs_cancelled_at_shutdown() {
+        // One worker parked on the first job, the second queued behind it:
+        // dropping the engine cancels the first and fails the second without
+        // running it, and both hooks fire.
+        let mut registry = SolverRegistry::with_defaults();
+        registry.replace(Parked);
+        let engine = Engine::with_registry(registry).with_workers(1);
+        let inst = instance_from_pairs(2, 1, &[(6, 0), (1, 0), (5, 1)]).unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let req = SolveRequest::exact(ScheduleKind::NonPreemptive);
+        let handles: Vec<SolveHandle> = (0..2)
+            .map(|i| {
+                let tx = tx.clone();
+                engine.submit_notify(inst.clone(), &req, move || tx.send(i).unwrap())
+            })
+            .collect();
+        drop(tx);
+        drop(engine);
+        let mut fired: Vec<i32> = rx.iter().collect();
+        fired.sort_unstable();
+        assert_eq!(fired, vec![0, 1]);
+        for handle in handles {
+            assert!(matches!(handle.wait(), Err(CcsError::Cancelled)));
+        }
     }
 
     #[test]

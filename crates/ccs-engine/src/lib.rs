@@ -13,7 +13,8 @@
 //!   solver that meets the budget: exact solvers on tiny instances,
 //!   constant-factor approximations by default, PTASes for tight `ε`,
 //! * [`Engine::submit`] — asynchronous execution on a persistent worker
-//!   pool, returning a [`SolveHandle`] to poll, wait on, or cancel;
+//!   pool, returning a [`SolveHandle`] to wait on or cancel
+//!   ([`Engine::submit_notify`] adds a completion hook);
 //!   [`Engine::solve_batch`] builds on it with deterministic, input-ordered
 //!   results,
 //! * [`cache`] — an opt-in sharded solution cache ([`Engine::with_cache`])
@@ -21,6 +22,8 @@
 //!   with single-flight coalescing of concurrent identical requests,
 //! * [`wire`] — the `ccs-wire/1` JSON protocol spoken by the `ccs-serve`
 //!   binary (newline-delimited request/response frames over stdin/stdout),
+//! * [`connection`] — the one per-client state machine both front ends
+//!   drive: framing, frame dispatch, admission and response ordering,
 //! * [`netd`] — the `ccs-netd` TCP front end: many concurrent connections
 //!   multiplexed onto the worker pool with per-connection backpressure, a
 //!   global queue budget that sheds excess load with structured
@@ -49,6 +52,7 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+pub mod connection;
 pub mod engine;
 pub mod netd;
 pub mod policy;
@@ -58,6 +62,7 @@ pub mod wire;
 pub mod worker;
 
 pub use cache::{CacheOutcome, CacheStats};
+pub use connection::{Connection, Service, MAX_FRAME_BYTES};
 pub use engine::{Engine, Solution};
 pub use netd::{NetServer, NetdConfig, NetdHandle};
 pub use policy::{Accuracy, ResolvedAccuracy, SolveRequest, WarmStart};

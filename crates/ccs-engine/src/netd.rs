@@ -7,13 +7,16 @@
 //! per connection, matched by `id` ([`NetdConfig::ordered`] pins
 //! per-connection request order for golden-file diffing).
 //!
-//! The server is a single hand-rolled poll/accept loop over non-blocking
-//! `std::net` sockets (the offline-substitution constraints of DESIGN.md §7
-//! rule out `mio`/`tokio`): every iteration accepts pending connections,
-//! flushes output buffers, reaps finished solve handles, and reads exactly
-//! as much new input as admission control allows.  Solving itself happens on
-//! the engine's workers; the loop only does I/O and bookkeeping, so a slow
-//! solve never stalls other connections.
+//! The server is a single hand-rolled loop over non-blocking `std::net`
+//! sockets (the offline-substitution constraints of DESIGN.md §7 rule out
+//! `mio`/`tokio`): every iteration accepts pending connections, advances
+//! each connection's [`Connection`] state machine (the same one `ccs-serve`
+//! drives over stdio), flushes output buffers, and reads exactly as much new
+//! input as admission control allows.  When nothing moved, the loop parks
+//! until a solve's completion hook unparks it (or a short timeout passes), so
+//! a finished solve wakes it at once.  Solving itself happens on the engine's
+//! workers; the loop only does I/O and bookkeeping, so a slow solve never
+//! stalls other connections.
 //!
 //! Admission control, outermost check first:
 //!
@@ -40,13 +43,9 @@
 //! admitted, output is flushed, then every connection closes and
 //! [`NetServer::run`] returns the final [`ServiceStats`].
 
+use crate::connection::{Connection, Service};
 use crate::engine::Engine;
-use crate::session::SessionEvent;
-use crate::wire::{self, ServiceStats, SessionFrame, TenantStats, WireFrame, WireRequest};
-use crate::worker::SolveHandle;
-use ccs_core::CcsError;
-use ccs_session::SessionStore;
-use std::collections::HashMap;
+use crate::wire::ServiceStats;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -57,12 +56,15 @@ use std::time::{Duration, Instant};
 /// once this much serialised output is waiting on it.
 const OUT_HIGH_WATER: usize = 1 << 20;
 
-/// Idle-loop sleep: long enough to stay invisible in profiles, short enough
-/// that request latency is dominated by solving, not polling.
-const IDLE_SLEEP: Duration = Duration::from_micros(500);
+/// Longest idle wait.  Completions end the wait at once; this only bounds
+/// how soon new socket bytes are seen, because std offers no way to wait on
+/// sockets and a wake-up together (and DESIGN.md §7 excludes `libc`).
+const READ_POLL: Duration = Duration::from_micros(500);
 
-/// Tuning knobs of a [`NetServer`]; `NetdConfig::default()` matches the
-/// `ccs-netd` binary's defaults.
+/// Admission limits and emission order of a front end.
+/// `NetdConfig::default()` matches the `ccs-netd` binary's defaults;
+/// `ccs-serve` sets the per-connection cap to the queue budget, so its one
+/// connection is throttled but never shed.
 #[derive(Debug, Clone)]
 pub struct NetdConfig {
     /// Most admitted requests one connection may hold in flight; at the cap
@@ -113,89 +115,86 @@ impl NetdHandle {
     }
 }
 
-/// A response owed to a client, in arrival order of its request.
-struct Pending {
-    /// `Some` while the solve is still on the engine; `None` once decided
-    /// (shed, malformed, stats — or a reaped job, transiently).
-    job: Option<PendingJob>,
-    /// The serialised frame, filled in when the outcome is known.
-    line: Option<String>,
-}
-
-struct PendingJob {
-    id: String,
-    tenant: String,
-    handle: SolveHandle,
-}
-
-struct Conn {
+/// An accepted socket and the protocol state its bytes feed.
+struct Client {
     stream: TcpStream,
-    /// Bytes read but not yet parsed into complete lines.
-    read_buf: Vec<u8>,
-    /// Serialised responses awaiting the socket, already emitted from
-    /// `pending` (a cursor avoids re-copying on partial writes).
+    conn: Connection,
+    /// Serialised responses awaiting the socket; `out_pos` is the prefix
+    /// already written (a cursor avoids re-copying on partial writes).
     out: Vec<u8>,
     out_pos: usize,
-    pending: Vec<Pending>,
-    /// Admitted jobs among `pending` (the per-connection in-flight count).
-    jobs: usize,
-    /// Client closed its write side; serve out the backlog, then close.
+    /// The client closed its write side: serve out the backlog, then close.
     eof: bool,
-    /// I/O error: discard output, cancel jobs, reap, then close.
+    /// I/O error: close now, cancelling what is still in flight.
     dead: bool,
-    /// This connection's open sessions (sessions are connection-scoped:
-    /// closing the connection drops them).
-    sessions: SessionStore,
 }
 
-impl Conn {
-    fn new(stream: TcpStream) -> Self {
-        Conn {
-            stream,
-            read_buf: Vec::new(),
-            out: Vec::new(),
-            out_pos: 0,
-            pending: Vec::new(),
-            jobs: 0,
-            eof: false,
-            dead: false,
-            sessions: SessionStore::new(),
-        }
-    }
-
+impl Client {
     fn flushed(&self) -> bool {
         self.out_pos == self.out.len()
     }
 
-    /// Nothing owed and nothing buffered: safe to close.
+    /// Nothing owed and nothing unwritten.
     fn idle(&self) -> bool {
-        self.pending.is_empty() && self.flushed()
+        self.conn.is_idle() && self.flushed()
     }
-}
 
-/// Per-tenant admission bookkeeping (keyed by the request `tenant` member;
-/// `""` is the anonymous tenant).
-#[derive(Default)]
-struct Tenant {
-    inflight: usize,
-    admitted: u64,
-    completed: u64,
-    shed: u64,
-    sessions: u64,
-}
+    fn finished(&self) -> bool {
+        self.dead || (self.eof && self.idle())
+    }
 
-/// The single-threaded admission/bookkeeping state of the poll loop.
-struct Admission {
-    inflight: usize,
-    admitted: u64,
-    completed: u64,
-    shed_overload: u64,
-    shed_quota: u64,
-    connections: u64,
-    sessions_opened: u64,
-    sessions_active: u64,
-    stats_ticks: u64,
-    tenants: HashMap<String, Tenant>,
+    /// Writes buffered output until the socket would block.  Returns whether
+    /// bytes moved.
+    fn flush(&mut self) -> bool {
+        let mut wrote = false;
+        while !self.dead && !self.flushed() {
+            match self.stream.write(&self.out[self.out_pos..]) {
+                Ok(0) => self.dead = true,
+                Ok(n) => {
+                    self.out_pos += n;
+                    wrote = true;
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => self.dead = true,
+            }
+        }
+        if self.flushed() && self.out_pos > 0 {
+            self.out.clear();
+            self.out_pos = 0;
+        }
+        wrote
+    }
+
+    /// Reads newly arrived bytes while the connection wants input (below its
+    /// in-flight cap, with a client that keeps reading its responses) and
+    /// advances the connection over them.  Returns whether anything moved.
+    fn read(&mut self, service: &mut Service) -> bool {
+        let mut buf = [0u8; 16 * 1024];
+        let mut moved = false;
+        while !self.dead
+            && !self.eof
+            && self.conn.wants_input()
+            && self.out.len() - self.out_pos < OUT_HIGH_WATER
+        {
+            match self.stream.read(&mut buf) {
+                Ok(0) => {
+                    self.eof = true;
+                    self.conn.finish_input();
+                }
+                Ok(n) => self.conn.receive(&buf[..n]),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    self.dead = true;
+                    break;
+                }
+            }
+            self.conn.advance(service, &mut self.out);
+            moved = true;
+        }
+        moved
+    }
 }
 
 /// Schedule of the periodic stderr stats line, anchored to a fixed grid
@@ -240,7 +239,7 @@ impl StatsTicker {
     }
 }
 
-/// The TCP front end: bind, then [`NetServer::run`] the poll loop to
+/// The TCP front end: bind, then [`NetServer::run`] the I/O loop to
 /// completion (a drain).  See the module docs for the admission-control
 /// semantics.
 ///
@@ -296,36 +295,35 @@ impl NetServer {
         }
     }
 
-    /// Runs the poll/accept loop until a drain completes, then returns the
+    /// Runs the accept/serve loop until a drain completes, then returns the
     /// final counters.  Individual connection I/O errors are absorbed (the
     /// connection is dropped, its admitted jobs cancelled); only listener
     /// failures abort the server.
-    pub fn run(mut self) -> std::io::Result<ServiceStats> {
-        let mut conns: Vec<Conn> = Vec::new();
-        let mut admission = Admission {
-            inflight: 0,
-            admitted: 0,
-            completed: 0,
-            shed_overload: 0,
-            shed_quota: 0,
-            connections: 0,
-            sessions_opened: 0,
-            sessions_active: 0,
-            stats_ticks: 0,
-            tenants: HashMap::new(),
-        };
-        let mut ticker = self
-            .config
-            .stats_every
-            .map(|every| StatsTicker::new(Instant::now(), every));
+    pub fn run(self) -> std::io::Result<ServiceStats> {
+        let NetServer {
+            engine,
+            mut listener,
+            config,
+            draining,
+        } = self;
+        let stats_every = config.stats_every;
+        let mut ticker = stats_every.map(|every| StatsTicker::new(Instant::now(), every));
+        // Each completion unparks this thread.  An unpark that lands while
+        // the loop is busy makes the next park return at once, so no
+        // completion waits for the timeout.  (An inline session solve's
+        // scoped threads may consume that token, but such a pass made
+        // progress, and the loop passes again before it parks.)
+        let io_thread = std::thread::current();
+        let mut service = Service::new(engine, config, move || io_thread.unpark());
+        let mut clients: Vec<Client> = Vec::new();
         loop {
-            let draining = self.draining.load(Ordering::Acquire);
+            let draining = draining.load(Ordering::Acquire);
             let mut progress = false;
 
             if draining {
                 // Free the port immediately; queued SYNs are reset.
-                self.listener = None;
-            } else if let Some(listener) = &self.listener {
+                listener = None;
+            } else if let Some(listener) = &listener {
                 loop {
                     match listener.accept() {
                         Ok((stream, _peer)) => {
@@ -333,8 +331,14 @@ impl NetServer {
                                 continue; // peer already gone
                             }
                             let _ = stream.set_nodelay(true);
-                            admission.connections += 1;
-                            conns.push(Conn::new(stream));
+                            clients.push(Client {
+                                stream,
+                                conn: Connection::open(&mut service),
+                                out: Vec::new(),
+                                out_pos: 0,
+                                eof: false,
+                                dead: false,
+                            });
                             progress = true;
                         }
                         Err(e) if e.kind() == ErrorKind::WouldBlock => break,
@@ -347,110 +351,42 @@ impl NetServer {
                 }
             }
 
-            let active = conns.len();
-            for conn in &mut conns {
-                progress |= reap_finished(conn, &mut admission, self.config.ordered);
-                progress |= flush(conn);
+            for client in &mut clients {
+                // Also admits complete lines already buffered, which a drain
+                // still serves (they were received before it) — it only
+                // stops reading.
+                progress |= client.conn.advance(&mut service, &mut client.out);
+                progress |= client.flush();
                 if !draining {
-                    progress |=
-                        read_and_admit(conn, &self.engine, &self.config, &mut admission, active);
-                } else if !conn.dead {
-                    // Drain admits complete lines already buffered (they
-                    // were received before the drain), but reads no more.
-                    parse_and_admit(conn, &self.engine, &self.config, &mut admission, active);
-                }
-                if conn.dead {
-                    for p in &mut conn.pending {
-                        if let Some(job) = &p.job {
-                            job.handle.cancel();
-                        }
-                    }
+                    progress |= client.read(&mut service);
                 }
             }
-            conns.retain_mut(|conn| {
-                let gone = (conn.eof || conn.dead) && conn.pending.is_empty() && {
-                    conn.dead || conn.flushed()
-                };
-                if gone {
-                    release_sessions(conn, &mut admission);
-                }
-                !gone
-            });
+            for client in clients.extract_if(.., |client| client.finished()) {
+                client.conn.close(&mut service);
+            }
 
             if let Some(ticker) = &mut ticker {
                 if ticker.due(Instant::now()) {
-                    admission.stats_ticks = ticker.ticks();
-                    eprintln!("{}", stats_line(&self.stats(&admission, conns.len())));
+                    service.ledger.stats_ticks = ticker.ticks();
+                    eprintln!("{}", stats_line(&service.stats()));
                 }
             }
 
-            if draining && conns.iter().all(Conn::idle) {
+            if draining && clients.iter().all(Client::idle) {
                 // A drain closes open sessions with their connections; the
                 // final stats line reports none active.
-                for conn in &mut conns {
-                    release_sessions(conn, &mut admission);
+                for client in clients {
+                    client.conn.close(&mut service);
                 }
-                let stats = self.stats(&admission, 0);
-                if self.config.stats_every.is_some() {
+                let stats = service.stats();
+                if stats_every.is_some() {
                     eprintln!("{}", stats_line(&stats));
                 }
-                return Ok(stats); // dropping `conns` closes every socket
+                return Ok(stats); // every socket closed with its client
             }
             if !progress {
-                std::thread::sleep(IDLE_SLEEP);
+                std::thread::park_timeout(READ_POLL);
             }
-        }
-    }
-
-    fn stats(&self, admission: &Admission, active: usize) -> ServiceStats {
-        service_stats(&self.engine, admission, active)
-    }
-}
-
-/// Assembles the stats payload both the `stats` wire frame and the stderr
-/// line serve.
-fn service_stats(engine: &Engine, admission: &Admission, active: usize) -> ServiceStats {
-    let mut tenants: Vec<TenantStats> = admission
-        .tenants
-        .iter()
-        .map(|(name, t)| TenantStats {
-            tenant: name.clone(),
-            admitted: t.admitted,
-            completed: t.completed,
-            shed: t.shed,
-            sessions: t.sessions,
-        })
-        .collect();
-    tenants.sort_by(|a, b| a.tenant.cmp(&b.tenant));
-    ServiceStats {
-        engine: engine.stats(),
-        connections: admission.connections,
-        active_connections: active as u64,
-        admitted: admission.admitted,
-        completed: admission.completed,
-        shed_overload: admission.shed_overload,
-        shed_quota: admission.shed_quota,
-        sessions_opened: admission.sessions_opened,
-        sessions_active: admission.sessions_active,
-        stats_ticks: admission.stats_ticks,
-        tenants,
-    }
-}
-
-/// Closes every session still open on a connection, rolling its counters
-/// out of the admission state (connection teardown and drain).
-fn release_sessions(conn: &mut Conn, admission: &mut Admission) {
-    let sids: Vec<String> = conn
-        .sessions
-        .iter()
-        .map(|(sid, _)| sid.to_string())
-        .collect();
-    for sid in sids {
-        if let Some(session) = conn.sessions.close(&sid) {
-            admission.sessions_active -= 1;
-            let tenant = session.tenant().unwrap_or_default().to_string();
-            let entry = admission.tenants.entry(tenant).or_default();
-            entry.sessions = entry.sessions.saturating_sub(1);
         }
     }
 }
@@ -489,285 +425,10 @@ fn stats_line(stats: &ServiceStats) -> String {
     line
 }
 
-/// Moves finished solve outcomes into serialised response lines and writes
-/// emittable lines to the connection's output buffer.  Returns whether
-/// anything moved.
-fn reap_finished(conn: &mut Conn, admission: &mut Admission, ordered: bool) -> bool {
-    let mut moved = false;
-    for p in &mut conn.pending {
-        let finished = p.job.as_ref().is_some_and(|j| j.handle.is_finished());
-        if finished {
-            let job = p.job.take().expect("checked above");
-            let line = match job.handle.wait() {
-                Ok(solution) => wire::solution_to_json(&job.id, &solution).to_json(),
-                Err(error) => wire::error_response_to_json(&job.id, &error).to_json(),
-            };
-            p.line = Some(line);
-            conn.jobs -= 1;
-            admission.inflight -= 1;
-            admission.completed += 1;
-            let tenant = admission.tenants.entry(job.tenant).or_default();
-            tenant.inflight -= 1;
-            tenant.completed += 1;
-            moved = true;
-        }
-    }
-    // Emit decided responses: with `ordered` only the decided prefix, else
-    // everything decided so far (ids disambiguate).
-    let mut index = 0;
-    while index < conn.pending.len() {
-        match &conn.pending[index].line {
-            Some(line) => {
-                if !conn.dead {
-                    conn.out.extend_from_slice(line.as_bytes());
-                    conn.out.push(b'\n');
-                }
-                conn.pending.remove(index);
-                moved = true;
-            }
-            None if ordered => break,
-            None => index += 1,
-        }
-    }
-    moved
-}
-
-/// Writes buffered output until the socket would block.  Returns whether
-/// bytes moved.
-fn flush(conn: &mut Conn) -> bool {
-    let mut wrote = false;
-    while !conn.dead && conn.out_pos < conn.out.len() {
-        match conn.stream.write(&conn.out[conn.out_pos..]) {
-            Ok(0) => {
-                conn.dead = true;
-            }
-            Ok(n) => {
-                conn.out_pos += n;
-                wrote = true;
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => {
-                conn.dead = true;
-            }
-        }
-    }
-    if conn.flushed() && conn.out_pos > 0 {
-        conn.out.clear();
-        conn.out_pos = 0;
-    }
-    wrote
-}
-
-/// Reads newly arrived bytes (while admission allows) and admits the
-/// complete lines among them.  Returns whether bytes or requests moved.
-fn read_and_admit(
-    conn: &mut Conn,
-    engine: &Engine,
-    config: &NetdConfig,
-    admission: &mut Admission,
-    active: usize,
-) -> bool {
-    let mut moved = parse_and_admit(conn, engine, config, admission, active);
-    let mut buf = [0u8; 16 * 1024];
-    // The per-connection backpressure point: at the in-flight cap (or with a
-    // client that stopped reading responses) no more bytes are read, so TCP
-    // flow control eventually pauses the sender.
-    while !conn.dead
-        && !conn.eof
-        && conn.jobs < config.max_inflight_per_conn
-        && conn.out.len() - conn.out_pos < OUT_HIGH_WATER
-    {
-        match conn.stream.read(&mut buf) {
-            Ok(0) => {
-                conn.eof = true;
-            }
-            Ok(n) => {
-                conn.read_buf.extend_from_slice(&buf[..n]);
-                moved = true;
-                parse_and_admit(conn, engine, config, admission, active);
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => {
-                conn.dead = true;
-            }
-        }
-    }
-    moved
-}
-
-/// Admits complete lines from the connection's read buffer until the
-/// per-connection cap (or the end of the buffered input).  Returns whether a
-/// line was consumed.
-fn parse_and_admit(
-    conn: &mut Conn,
-    engine: &Engine,
-    config: &NetdConfig,
-    admission: &mut Admission,
-    active: usize,
-) -> bool {
-    let mut consumed = false;
-    while conn.jobs < config.max_inflight_per_conn && !conn.dead {
-        let Some(nl) = conn.read_buf.iter().position(|&b| b == b'\n') else {
-            break;
-        };
-        let line: Vec<u8> = conn.read_buf.drain(..=nl).collect();
-        consumed = true;
-        let line = String::from_utf8_lossy(&line[..nl]);
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let pending = admit_line(line, engine, config, admission, active, &mut conn.sessions);
-        if pending.job.is_some() {
-            conn.jobs += 1;
-        }
-        conn.pending.push(pending);
-    }
-    consumed
-}
-
-/// Parses one frame and runs it through admission control; the outcome is
-/// either an admitted engine job or an already-decided response line.
-fn admit_line(
-    line: &str,
-    engine: &Engine,
-    config: &NetdConfig,
-    admission: &mut Admission,
-    active: usize,
-    sessions: &mut SessionStore,
-) -> Pending {
-    let decided = |line: String| Pending {
-        job: None,
-        line: Some(line),
-    };
-    let request = match wire::frame_from_line(line) {
-        Ok(WireFrame::Request(request)) => request,
-        Ok(WireFrame::Stats { id }) => {
-            // Counters are sampled here, inside the loop, so the frame
-            // observes every admission decision that preceded it on its
-            // connection (same-connection lines are processed in order).
-            let stats = service_stats(engine, admission, active);
-            return decided(wire::stats_response_to_json(&id, &stats).to_json());
-        }
-        Ok(WireFrame::Session(frame)) => {
-            return decided(session_line(frame, engine, admission, sessions));
-        }
-        Err(error) => {
-            // Best-effort id recovery, as in ccs-serve: echo what the
-            // malformed line carried so the client can count failures.
-            let id = ccs_core::json::parse(line)
-                .ok()
-                .and_then(|v| v.get("id").and_then(|i| i.as_str().map(str::to_string)))
-                .unwrap_or_default();
-            return decided(wire::error_response_to_json(&id, &error).to_json());
-        }
-    };
-    let WireRequest {
-        id,
-        tenant,
-        instance,
-        request,
-    } = request;
-    let tenant = tenant.unwrap_or_default();
-
-    // Global queue budget: bounds admitted-but-not-completed across all
-    // connections — the service's total outstanding promise, deliberately
-    // not the pool's internal backlog (which shrinks the moment a worker
-    // picks a job up).
-    if admission.inflight >= config.queue_budget {
-        admission.shed_overload += 1;
-        engine.stats_sink().record_shed();
-        let error = CcsError::overloaded(format!(
-            "queue budget {} exhausted ({} requests in flight); retry later",
-            config.queue_budget, admission.inflight
-        ));
-        return decided(wire::error_response_to_json(&id, &error).to_json());
-    }
-    // Per-tenant quota.
-    if let Some(quota) = config.tenant_quota {
-        let entry = admission.tenants.entry(tenant.clone()).or_default();
-        if entry.inflight >= quota {
-            entry.shed += 1;
-            admission.shed_quota += 1;
-            engine.stats_sink().record_shed();
-            let label = if tenant.is_empty() {
-                "anonymous tenant".to_string()
-            } else {
-                format!("tenant '{tenant}'")
-            };
-            let error = CcsError::overloaded(format!(
-                "{label} quota {quota} exhausted ({} requests in flight); retry later",
-                entry.inflight
-            ));
-            return decided(wire::error_response_to_json(&id, &error).to_json());
-        }
-    }
-
-    let handle = engine.submit(instance, &request);
-    admission.inflight += 1;
-    admission.admitted += 1;
-    let entry = admission.tenants.entry(tenant.clone()).or_default();
-    entry.inflight += 1;
-    entry.admitted += 1;
-    Pending {
-        job: Some(PendingJob { id, tenant, handle }),
-        line: None,
-    }
-}
-
-/// Handles one `op: "session"` frame against the connection's session
-/// store ([`crate::session::handle_session_frame`]) and applies the event
-/// to the admission counters.
-///
-/// Session solves run inline and count toward `admitted`/`completed`, but
-/// deliberately bypass the queue budget and per-tenant quotas: they never
-/// occupy a promise slot, because each completes before the next line of
-/// its connection is even read.
-fn session_line(
-    frame: SessionFrame,
-    engine: &Engine,
-    admission: &mut Admission,
-    sessions: &mut SessionStore,
-) -> String {
-    let (line, event) = crate::session::handle_session_frame(frame, engine, sessions);
-    match event {
-        SessionEvent::Opened { tenant } => {
-            admission.sessions_opened += 1;
-            admission.sessions_active += 1;
-            let entry = admission
-                .tenants
-                .entry(tenant.unwrap_or_default())
-                .or_default();
-            entry.sessions += 1;
-        }
-        SessionEvent::Closed { tenant } => {
-            admission.sessions_active -= 1;
-            let entry = admission
-                .tenants
-                .entry(tenant.unwrap_or_default())
-                .or_default();
-            entry.sessions = entry.sessions.saturating_sub(1);
-        }
-        SessionEvent::Solved { tenant } => {
-            admission.admitted += 1;
-            admission.completed += 1;
-            let entry = admission
-                .tenants
-                .entry(tenant.unwrap_or_default())
-                .or_default();
-            entry.admitted += 1;
-            entry.completed += 1;
-        }
-        SessionEvent::NoChange => {}
-    }
-    line
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::TenantStats;
 
     #[test]
     fn defaults_are_sane() {

@@ -22,7 +22,7 @@ use ccs_core::CcsError;
 use ccs_session::{SessionInstance, SessionStore, WarmRecord};
 
 /// What handling a session frame did, for the serving layer's accounting
-/// (`ccs-netd` admission counters; `ccs-serve` ignores it).
+/// (the admission ledger behind the `stats` frame).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SessionEvent {
     /// A session was opened for this tenant.

@@ -6,7 +6,10 @@
 //! with a fixed pool of long-lived workers fed from a mutex/condvar queue:
 //!
 //! * [`Engine::submit`](crate::Engine::submit) enqueues a job and hands
-//!   back a [`SolveHandle`] — poll it, block on it, or cancel it,
+//!   back a [`SolveHandle`] — block on it or cancel it;
+//!   [`Engine::submit_notify`](crate::Engine::submit_notify) also runs a
+//!   completion hook, so a front end can block until woken instead of
+//!   polling handles,
 //! * every job runs under a [`SolveContext`] assembled from the request's
 //!   budget (the deadline clock starts at submission, so queue time counts)
 //!   and the handle's cancel flag,
@@ -40,11 +43,13 @@ pub(crate) struct Job {
     pub(crate) ticket: Arc<Ticket>,
 }
 
+/// A completion hook ([`Engine::submit_notify`](crate::Engine::submit_notify)).
+pub(crate) type Hook = Box<dyn FnOnce() + Send>;
+
 /// The shared state between a [`SolveHandle`] and the worker executing its
 /// job.
 pub(crate) struct Ticket {
-    /// `None` while pending/running, `Some` once the worker delivered.
-    result: Mutex<Option<Result<Solution>>>,
+    slot: Mutex<Slot>,
     done: Condvar,
     finished: AtomicBool,
     cancel: CancelFlag,
@@ -52,10 +57,20 @@ pub(crate) struct Ticket {
     deadline: Option<Instant>,
 }
 
+struct Slot {
+    /// `None` while pending/running, `Some` once the worker delivered.
+    result: Option<Result<Solution>>,
+    /// Taken and run by [`Ticket::complete`].
+    hook: Option<Hook>,
+}
+
 impl Ticket {
-    pub(crate) fn new(budget: Option<Duration>) -> Self {
+    pub(crate) fn new(budget: Option<Duration>, hook: Hook) -> Self {
         Ticket {
-            result: Mutex::new(None),
+            slot: Mutex::new(Slot {
+                result: None,
+                hook: Some(hook),
+            }),
             done: Condvar::new(),
             finished: AtomicBool::new(false),
             cancel: CancelFlag::new(),
@@ -63,15 +78,25 @@ impl Ticket {
         }
     }
 
+    /// Publishes the result, then runs the hook — every path that ends a job
+    /// (a run, a panic, cancellation at pool shutdown) goes through here.
     fn complete(&self, result: Result<Solution>) {
-        let mut slot = self.result.lock().expect("ticket lock never poisoned");
-        *slot = Some(result);
-        self.finished.store(true, Ordering::Release);
-        self.done.notify_all();
+        let hook = {
+            let mut slot = self.slot.lock().expect("ticket lock never poisoned");
+            slot.result = Some(result);
+            self.finished.store(true, Ordering::Release);
+            self.done.notify_all();
+            slot.hook.take()
+        };
+        // Outside the lock, and after `finished`: whoever the hook wakes sees
+        // the job finished.
+        if let Some(hook) = hook {
+            hook();
+        }
     }
 }
 
-/// A handle to a submitted request: poll it, wait on it, or cancel it.
+/// A handle to a submitted request: wait on it or cancel it.
 ///
 /// Dropping the handle does not cancel the job — it keeps running and its
 /// result is discarded on completion (fire and forget).
@@ -84,60 +109,23 @@ impl SolveHandle {
         SolveHandle { ticket }
     }
 
-    /// Whether the job has finished (successfully or not).
+    /// Whether the job has finished (successfully or not); once it has,
+    /// [`SolveHandle::wait`] returns without blocking.
     pub fn is_finished(&self) -> bool {
         self.ticket.finished.load(Ordering::Acquire)
     }
 
-    /// Non-blocking poll: a clone of the result once the job has finished,
-    /// `None` while it is still queued or running.
-    pub fn poll(&self) -> Option<Result<Solution>> {
-        self.ticket
-            .result
-            .lock()
-            .expect("ticket lock never poisoned")
-            .clone()
-    }
-
     /// Blocks until the job finishes and returns its result.
     pub fn wait(self) -> Result<Solution> {
+        let slot = self.ticket.slot.lock().expect("ticket lock never poisoned");
         let mut slot = self
             .ticket
-            .result
-            .lock()
+            .done
+            .wait_while(slot, |slot| slot.result.is_none())
             .expect("ticket lock never poisoned");
-        while slot.is_none() {
-            slot = self
-                .ticket
-                .done
-                .wait(slot)
-                .expect("ticket lock never poisoned");
-        }
-        slot.take().expect("loop exits only with a result")
-    }
-
-    /// Blocks for at most `timeout`; a clone of the result if the job
-    /// finished in time, `None` otherwise.
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<Solution>> {
-        let deadline = Instant::now() + timeout;
-        let mut slot = self
-            .ticket
-            .result
-            .lock()
-            .expect("ticket lock never poisoned");
-        while slot.is_none() {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return None;
-            }
-            let (guard, _) = self
-                .ticket
-                .done
-                .wait_timeout(slot, remaining)
-                .expect("ticket lock never poisoned");
-            slot = guard;
-        }
-        slot.clone()
+        slot.result
+            .take()
+            .expect("wait_while exits only with a result")
     }
 
     /// Requests cooperative cancellation: the run fails with

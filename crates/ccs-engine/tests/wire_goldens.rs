@@ -8,17 +8,21 @@
 //!   deterministically), pinned byte-for-byte against the codec,
 //! * `serve-error-requests.ndjson` / `serve-error-expected.ndjson` — request
 //!   lines that each provoke an error (`budget_ms: 0` deadline, malformed
-//!   JSON, missing/unknown model, schema skew, negative budget) and the
-//!   exact response bytes; CI additionally pipes the same pair through the
-//!   real `ccs-serve` binary.
+//!   JSON, missing/unknown model, schema skew, negative budget, nesting past
+//!   the JSON depth limit) and the exact response bytes.
+//!
+//! Every `ci/*-requests.ndjson` / `*-expected.ndjson` pair is also replayed
+//! here through a [`Connection`] — the state machine both binaries drive —
+//! so the goldens hold in the tier-1 suite, not only in CI's binary replays.
 //!
 //! Any codec change that alters error bytes must consciously update the
 //! fixtures — that is the point.
 
 use ccs_core::{CcsError, Rational};
 use ccs_engine::wire::{self, WireResponse};
-use ccs_engine::{Engine, SolveRequest};
+use ccs_engine::{Connection, Engine, NetdConfig, Service, SolveRequest};
 use std::path::PathBuf;
+use std::sync::mpsc;
 
 fn fixture(name: &str) -> String {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -72,36 +76,43 @@ fn error_frames_match_the_committed_goldens() {
     }
 }
 
-/// Replays `serve-error-requests.ndjson` through the engine with the same
-/// request handling as `ccs-serve` (including the malformed-line id
-/// recovery) and requires byte-identical responses to the committed
-/// expectation.  CI runs the same pair through the real binary.
-#[test]
-fn serve_error_requests_reproduce_the_expected_frames() {
-    let engine = Engine::new();
-    let requests = fixture("serve-error-requests.ndjson");
-    let expected = fixture("serve-error-expected.ndjson");
-    let mut produced = String::new();
-    for line in requests.lines().filter(|line| !line.trim().is_empty()) {
-        let frame = match wire::request_from_line(line) {
-            Ok(request) => match engine.solve(&request.instance, &request.request) {
-                Ok(solution) => wire::solution_to_json(&request.id, &solution).to_json(),
-                Err(error) => wire::error_response_to_json(&request.id, &error).to_json(),
-            },
-            Err(error) => {
-                // Mirror ccs-serve: salvage the id if the line parses as
-                // JSON at all.
-                let id = ccs_core::json::parse(line)
-                    .ok()
-                    .and_then(|v| v.get("id").and_then(|i| i.as_str().map(str::to_string)))
-                    .unwrap_or_default();
-                wire::error_response_to_json(&id, &error).to_json()
-            }
-        };
-        produced.push_str(&frame);
-        produced.push('\n');
+/// Feeds `requests` to one ordered [`Connection`] as a single input that
+/// then ends, and returns every byte it emits.
+fn replay(requests: &str) -> String {
+    let (wake, woken) = mpsc::channel();
+    let config = NetdConfig {
+        ordered: true,
+        ..NetdConfig::default()
+    };
+    let mut service = Service::new(Engine::new().with_workers(2), config, move || {
+        let _ = wake.send(());
+    });
+    let mut conn = Connection::open(&mut service);
+    conn.receive(requests.as_bytes());
+    conn.finish_input();
+    let mut out = Vec::new();
+    loop {
+        conn.advance(&mut service, &mut out);
+        if conn.is_idle() {
+            return String::from_utf8(out).expect("frames are UTF-8");
+        }
+        woken.recv().expect("a solve is in flight");
     }
-    assert_eq!(produced, expected);
+}
+
+/// Every committed request fixture reproduces its expected responses byte
+/// for byte (the cross-check of CI's `ccs-serve --ordered` / `ccs-netd
+/// --ordered` replays).
+#[test]
+fn every_golden_replays_byte_exact_through_a_connection() {
+    for name in ["serve", "serve-error", "session"] {
+        let produced = replay(&fixture(&format!("{name}-requests.ndjson")));
+        assert_eq!(
+            produced,
+            fixture(&format!("{name}-expected.ndjson")),
+            "{name} golden"
+        );
+    }
 }
 
 /// The deadline golden is deterministic: a zero budget trips the first
