@@ -245,13 +245,17 @@ fn solve_request(
 }
 
 /// Sleeps until `at_ns` past the replay start (no-op once behind schedule —
-/// a loaded replay degrades to maximum speed instead of stretching).
-fn pace(started: Instant, at_ns: u64) {
+/// a loaded replay degrades to maximum speed instead of stretching) and
+/// returns that intended send time.  Paced pool solves are timed from it,
+/// so a replay that falls behind still counts the wait it imposed
+/// (no coordinated omission).
+fn pace(started: Instant, at_ns: u64) -> Instant {
     let due = started + Duration::from_nanos(at_ns);
     let now = Instant::now();
     if due > now {
         thread::sleep(due - now);
     }
+    due
 }
 
 fn elapsed_ns(since: Instant) -> u64 {
@@ -314,11 +318,11 @@ fn open_instance(machines: u64, class_slots: u64, jobs: &[(u64, u32)]) -> Sessio
 // In-process replay.
 // ---------------------------------------------------------------------------
 
-/// Runs a replay driver on a worker-sized stack.  Session-frame solves run
-/// inline on the driving thread (in-process replay) or on the netd I/O
-/// thread (TCP replay), and the accuracy-exponential pipelines recurse too
-/// deeply for a default 2 MiB thread stack in debug builds — give the
-/// drivers the same headroom the engine's own pool threads get.
+/// Runs the in-process replay driver on a worker-sized stack.  Its
+/// session-frame solves run inline on the driving thread, and the
+/// accuracy-exponential pipelines recurse too deeply for a default 2 MiB
+/// thread stack in debug builds — give the driver the same headroom the
+/// engine's own pool threads (and netd's connection drivers) get.
 fn on_big_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
     thread::scope(|s| {
         thread::Builder::new()
@@ -355,9 +359,7 @@ fn replay_engine_inner(trace: &Trace, config: &SoakConfig) -> SoakOutcome {
     let mut counters = SoakCounters::default();
     let mut session_latencies = Vec::new();
     for event in &trace.events {
-        if config.pace {
-            pace(started, event.at_ns);
-        }
+        let due = config.pace.then(|| pace(started, event.at_ns));
         let frame = match &event.op {
             TraceOp::Solve {
                 pool: idx,
@@ -366,7 +368,7 @@ fn replay_engine_inner(trace: &Trace, config: &SoakConfig) -> SoakOutcome {
                 budget_ms,
             } => {
                 let req = solve_request(*model, *epsilon, *budget_ms);
-                let sent = Instant::now();
+                let sent = due.unwrap_or_else(Instant::now);
                 let done = done.clone();
                 handles.push(
                     engine.submit_notify(Arc::clone(&pool[*idx]), &req, move || {
@@ -476,20 +478,14 @@ type ConnOutcome = (Vec<u64>, SoakCounters);
 /// Propagates socket-level failures (bind, connect, write) and a wedged
 /// replay (no session acknowledgement within a minute).
 pub fn replay_netd(trace: &Trace, config: &SoakConfig) -> std::io::Result<SoakOutcome> {
-    on_big_stack(|| replay_netd_inner(trace, config))
-}
-
-fn replay_netd_inner(trace: &Trace, config: &SoakConfig) -> std::io::Result<SoakOutcome> {
     let engine = Engine::new()
         .with_workers(config.workers.max(1))
         .with_cache(config.cache);
     let server = NetServer::bind(engine, "127.0.0.1:0", NetdConfig::default())?;
     let addr = server.local_addr()?;
     let handle = server.handle();
-    // The netd I/O loop runs session solves inline: worker-sized stack.
     let server_thread = thread::Builder::new()
         .name("soak-netd".into())
-        .stack_size(ccs_core::par::WORKER_STACK_BYTES)
         .spawn(move || server.run())
         .expect("spawning the netd server thread");
 
@@ -581,15 +577,15 @@ fn run_conn(
     };
 
     let mut chains: HashMap<u32, ChainState> = HashMap::new();
-    let send = |stream: &mut TcpStream, id: String, mut line: String| -> std::io::Result<()> {
+    // A frame is timed from `due`, its intended send time, if it has one.
+    let send = |stream: &mut TcpStream, id: String, mut line: String, due: Option<Instant>| {
         line.push('\n');
-        sent_at.lock().expect("sent map").insert(id, Instant::now());
+        let sent = due.unwrap_or_else(Instant::now);
+        sent_at.lock().expect("sent map").insert(id, sent);
         stream.write_all(line.as_bytes())
     };
     for (seq, event) in events.iter().enumerate() {
-        if pace_arrivals {
-            pace(started, event.at_ns);
-        }
+        let due = pace_arrivals.then(|| pace(started, event.at_ns));
         match &event.op {
             TraceOp::Solve {
                 pool: idx,
@@ -604,7 +600,7 @@ fn run_conn(
                     instance: pool[*idx].clone(),
                     request: solve_request(*model, *epsilon, *budget_ms),
                 });
-                send(&mut stream, id, line)?;
+                send(&mut stream, id, line, due)?;
             }
             TraceOp::Open {
                 chain,
@@ -619,7 +615,7 @@ fn run_conn(
                     tenant: None,
                     instance: open_instance(*machines, *class_slots, jobs),
                 };
-                send(&mut stream, id, wire::session_frame_to_line(&frame))?;
+                send(&mut stream, id, wire::session_frame_to_line(&frame), None)?;
                 if let ChainReply::State(session) = wait_ack("session open")? {
                     chains.get_mut(chain).expect("just inserted").session = session;
                 }
@@ -632,7 +628,7 @@ fn run_conn(
                     session: state.session.clone(),
                     deltas: vec![instance_delta(delta, state)],
                 };
-                send(&mut stream, id, wire::session_frame_to_line(&frame))?;
+                send(&mut stream, id, wire::session_frame_to_line(&frame), None)?;
                 wait_ack("session delta")?;
             }
             TraceOp::ChainSolve { chain, model } => {
@@ -642,7 +638,7 @@ fn run_conn(
                     session: chains[chain].session.clone(),
                     request: SolveRequest::auto(*model),
                 };
-                send(&mut stream, id, wire::session_frame_to_line(&frame))?;
+                send(&mut stream, id, wire::session_frame_to_line(&frame), None)?;
                 wait_ack("session solve")?;
             }
             TraceOp::Close { chain } => {
@@ -651,7 +647,7 @@ fn run_conn(
                     id: id.clone(),
                     session: chains[chain].session.clone(),
                 };
-                send(&mut stream, id, wire::session_frame_to_line(&frame))?;
+                send(&mut stream, id, wire::session_frame_to_line(&frame), None)?;
                 wait_ack("session close")?;
             }
         }

@@ -8,8 +8,8 @@
 //! of order; match them to requests by `id`.  Malformed lines produce an
 //! error frame instead of killing the service.  An `"op": "stats"` frame is
 //! answered inline with the engine's and this connection's counters (see
-//! `docs/WIRE.md` §6).  Stdin is one `ccs_engine::Connection`, the same
-//! state machine `ccs-netd` runs per socket.
+//! `docs/WIRE.md` §6).  Stdin and stdout are served by `ccs_engine::serve`,
+//! the driver `ccs-netd` runs per socket.
 //!
 //! ```text
 //! printf '%s\n' '{"schema":"ccs-wire/1","id":"a","instance":{...},"model":"splittable"}' \
@@ -27,17 +27,8 @@
 //!   `"cache": "hit" | "miss"`, and hit-rate statistics are printed to
 //!   stderr at EOF.
 
-use ccs_engine::{Connection, Engine, NetdConfig, Service};
-use std::io::{ErrorKind, Read, Write};
-use std::sync::mpsc::{self, Sender};
-
-/// What the main loop waits for: input from the stdin pump, or a solve
-/// completion from the engine's workers.
-enum Event {
-    Input(Vec<u8>),
-    Eof,
-    Completed,
-}
+use ccs_engine::{serve, Engine, NetdConfig, Service};
+use std::sync::mpsc;
 
 fn main() {
     let mut ordered = false;
@@ -86,46 +77,14 @@ fn main() {
         ordered,
         ..NetdConfig::default()
     };
-    let (events, inbox) = mpsc::channel();
-    let completions = events.clone();
-    let mut service = Service::new(engine, config, move || {
-        let _ = completions.send(Event::Completed);
-    });
-    let mut conn = Connection::open(&mut service);
-    // Reading stdin on its own thread keeps answers flowing while the next
-    // request has not arrived yet.
-    let pump = std::thread::Builder::new()
-        .name("ccs-serve-stdin".to_string())
-        .spawn(move || pump_stdin(&events))
-        .expect("spawning the stdin pump");
-
-    let stdout = std::io::stdout();
-    let mut stdout = stdout.lock();
-    let mut out = Vec::new();
-    let mut eof = false;
-    while !(eof && conn.is_idle()) {
-        match inbox.recv().expect("the service holds a sender") {
-            Event::Input(bytes) => conn.receive(&bytes),
-            Event::Eof => {
-                eof = true;
-                conn.finish_input();
-            }
-            Event::Completed => {}
-        }
-        conn.advance(&mut service, &mut out);
-        if !out.is_empty() {
-            if stdout
-                .write_all(&out)
-                .and_then(|()| stdout.flush())
-                .is_err()
-            {
-                // Downstream closed the pipe; nothing sensible left to do.
-                std::process::exit(0);
-            }
-            out.clear();
-        }
+    let service = Service::new(engine, config);
+    // A read of stdin cannot be interrupted: when the driver stops while
+    // one may be pending (stdout is gone), the process ends here, status 0.
+    let exit = || std::process::exit(0);
+    let stdout = std::io::stdout().lock();
+    if let Err(e) = serve(&service, std::io::stdin(), stdout, exit, mpsc::channel()) {
+        eprintln!("ccs-serve: {e}");
     }
-    pump.join().expect("the stdin pump does not panic");
     if let Some(stats) = service.engine().cache_stats() {
         // One machine-parseable line for operators and the CI hit-rate
         // artifact; stdout stays reserved for response frames.
@@ -138,26 +97,4 @@ fn main() {
             stats.hit_rate()
         );
     }
-}
-
-/// Forwards stdin to the main loop until EOF (a read error counts as EOF).
-fn pump_stdin(events: &Sender<Event>) {
-    let mut stdin = std::io::stdin().lock();
-    let mut buf = vec![0u8; 64 * 1024];
-    loop {
-        match stdin.read(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => {
-                if events.send(Event::Input(buf[..n].to_vec())).is_err() {
-                    return;
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) => {
-                eprintln!("ccs-serve: stdin error: {e}");
-                break;
-            }
-        }
-    }
-    let _ = events.send(Event::Eof);
 }

@@ -1,15 +1,21 @@
-//! The one connection state machine behind both front ends: `ccs-serve`
-//! drives a single [`Connection`] over stdio, `ccs-netd` one per TCP socket.
+//! The one connection state machine behind both front ends, and the one
+//! driver that runs it: `ccs-serve` calls [`serve`] over stdio, `ccs-netd`
+//! once per TCP socket, on that socket's own thread.
 //!
 //! A connection turns the bytes a client sends into the response lines it
 //! is owed.  It splits the byte stream into newline-terminated frames,
 //! decodes each with [`wire::frame_from_line`], admits solve requests to the
 //! engine through the [`Service`]'s limits and ledger, answers stats, session
 //! and malformed frames on the spot, and emits every response in completion
-//! order — request order when the service is `ordered`.  The transport only
-//! moves bytes: it hands what it read to [`Connection::receive`], calls
-//! [`Connection::advance`] whenever input arrived or the service's wake hook
-//! fired (a solve completed), and writes out what `advance` appended.
+//! order — request order when the service is `ordered`.
+//!
+//! [`serve`] drives one [`Connection`] with no timed wait.  A *pump* thread
+//! blocks reading the client's bytes, one chunk per credit, and the solves'
+//! completion hooks fire; both feed one channel, on which the *driver* (the
+//! calling thread) blocks before it advances the connection and writes the
+//! responses.  Credits are granted only below the in-flight cap, so a
+//! connection at its cap is not read and read-ahead is one chunk.  Session
+//! solves run inline on the driver: a slow one blocks only its own client.
 //!
 //! Framing is lenient where it can be and bounded where it must be: bytes
 //! are decoded lossily (invalid UTF-8 becomes U+FFFD and fails to parse like
@@ -25,7 +31,11 @@ use crate::worker::SolveHandle;
 use ccs_core::CcsError;
 use ccs_session::SessionStore;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
+use std::io::{self, ErrorKind, Read, Write};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread;
 
 /// Longest frame a connection accepts, newline excluded.  A longer line is
 /// answered with one error frame (id `""`) and discarded through its
@@ -33,32 +43,32 @@ use std::sync::Arc;
 /// server memory.
 pub const MAX_FRAME_BYTES: usize = 16 << 20;
 
+/// Most bytes the pump reads per credit.
+const CHUNK_BYTES: usize = 16 * 1024;
+
+/// The pump only reads and forwards; it needs no solver-sized stack.
+const PUMP_STACK_BYTES: usize = 64 * 1024;
+
+type Wake = Arc<dyn Fn() + Send + Sync>;
+
 /// What every connection of one front end shares: the engine, the admission
-/// limits and the service-wide ledger, and the hook that tells the transport
-/// a solve completed.
+/// limits and the service-wide ledger.  Connections on many threads share
+/// it by reference; the ledger's lock is held only to update counters and
+/// to take the stats snapshot.
 pub struct Service {
     engine: Engine,
     config: NetdConfig,
-    pub(crate) ledger: Ledger,
-    wake: Arc<dyn Fn() + Send + Sync>,
+    ledger: Mutex<Ledger>,
 }
 
 impl Service {
     /// A service solving on `engine` under `config`'s admission limits and
-    /// emission order.  `wake` runs on the thread that completes each
-    /// admitted solve ([`Engine::submit_notify`]), so it must be short and
-    /// must not panic; the transport waits for it and then calls
-    /// [`Connection::advance`].
-    pub fn new(
-        engine: Engine,
-        config: NetdConfig,
-        wake: impl Fn() + Send + Sync + 'static,
-    ) -> Self {
+    /// emission order.
+    pub fn new(engine: Engine, config: NetdConfig) -> Self {
         Service {
             engine,
             config,
-            ledger: Ledger::default(),
-            wake: Arc::new(wake),
+            ledger: Mutex::default(),
         }
     }
 
@@ -67,9 +77,16 @@ impl Service {
         &self.engine
     }
 
+    pub(crate) fn ledger(&self) -> MutexGuard<'_, Ledger> {
+        self.ledger
+            .lock()
+            .expect("ledger updates are plain counter arithmetic and do not panic")
+    }
+
     /// The current counters: the payload of a `stats` frame.
     pub(crate) fn stats(&self) -> ServiceStats {
-        let ledger = &self.ledger;
+        let engine = self.engine.stats();
+        let ledger = self.ledger();
         let tenants = ledger
             .tenants
             .iter()
@@ -82,7 +99,7 @@ impl Service {
             })
             .collect();
         ServiceStats {
-            engine: self.engine.stats(),
+            engine,
             connections: ledger.connections,
             active_connections: ledger.active,
             admitted: ledger.admitted,
@@ -97,9 +114,9 @@ impl Service {
     }
 
     /// Decides one frame: a solve request that passes the admission limits
-    /// is submitted and answered when it completes; everything else is
-    /// answered now.
-    fn admit(&mut self, line: &str, sessions: &mut SessionStore) -> Pending {
+    /// is submitted, with `wake` as its completion hook, and answered when
+    /// it completes; everything else is answered now.
+    fn admit(&self, line: &str, sessions: &mut SessionStore, wake: &Wake) -> Pending {
         let request = match wire::frame_from_line(line) {
             Ok(WireFrame::Request(request)) => request,
             // Sampled here, in line order, so the frame observes every
@@ -109,7 +126,7 @@ impl Service {
             }
             Ok(WireFrame::Session(frame)) => {
                 let (line, event) = handle_session_frame(frame, &self.engine, sessions);
-                self.ledger.record_session(event);
+                self.ledger().record_session(event);
                 return Pending::Decided(line);
             }
             Err(error) => {
@@ -129,54 +146,15 @@ impl Service {
             request,
         } = request;
         let tenant = tenant.unwrap_or_default();
-        if let Some(error) = self.shed(&tenant) {
+        if let Some(error) = self.ledger().admit(&self.config, &tenant) {
             self.engine.stats_sink().record_shed();
             return Pending::Decided(error_line(&id, &error));
         }
-        let wake = Arc::clone(&self.wake);
+        let wake = Arc::clone(wake);
         let handle = self
             .engine
             .submit_notify(instance, &request, move || wake());
-        self.ledger.inflight += 1;
-        self.ledger.admitted += 1;
-        let entry = self.ledger.tenant(&tenant);
-        entry.inflight += 1;
-        entry.admitted += 1;
         Pending::Solving(Job { id, tenant, handle })
-    }
-
-    /// The `overloaded` error a new request of `tenant` is shed with, if a
-    /// limit is exhausted (the shed is recorded).
-    fn shed(&mut self, tenant: &str) -> Option<CcsError> {
-        let ledger = &mut self.ledger;
-        // The global budget bounds admitted-but-not-completed requests
-        // across all connections — the service's outstanding promise, not
-        // the pool's backlog, so shedding is a function of the request
-        // stream rather than of worker timing.
-        let budget = self.config.queue_budget;
-        if ledger.inflight >= budget {
-            ledger.shed_overload += 1;
-            return Some(CcsError::overloaded(format!(
-                "queue budget {budget} exhausted ({} requests in flight); retry later",
-                ledger.inflight
-            )));
-        }
-        let quota = self.config.tenant_quota?;
-        let entry = ledger.tenant(tenant);
-        if entry.inflight < quota {
-            return None;
-        }
-        entry.shed += 1;
-        let inflight = entry.inflight;
-        ledger.shed_quota += 1;
-        let label = if tenant.is_empty() {
-            "anonymous tenant".to_string()
-        } else {
-            format!("tenant '{tenant}'")
-        };
-        Some(CcsError::overloaded(format!(
-            "{label} quota {quota} exhausted ({inflight} requests in flight); retry later"
-        )))
     }
 }
 
@@ -212,6 +190,44 @@ struct Tenant {
 impl Ledger {
     fn tenant(&mut self, name: &str) -> &mut Tenant {
         self.tenants.entry(name.to_string()).or_default()
+    }
+
+    /// Admits a new request of `tenant`, or records its shed and returns
+    /// the `overloaded` error it is answered with if a limit is exhausted.
+    /// One lock covers the check and the count, so connections admitting
+    /// concurrently cannot overdraw the budget or a quota.
+    fn admit(&mut self, config: &NetdConfig, tenant: &str) -> Option<CcsError> {
+        // The global budget bounds admitted-but-not-completed requests
+        // across all connections — the service's outstanding promise, not
+        // the pool's backlog, so shedding is a function of the request
+        // stream rather than of worker timing.
+        let budget = config.queue_budget;
+        if self.inflight >= budget {
+            self.shed_overload += 1;
+            return Some(CcsError::overloaded(format!(
+                "queue budget {budget} exhausted ({} requests in flight); retry later",
+                self.inflight
+            )));
+        }
+        let entry = self.tenant(tenant);
+        if let Some(quota) = config.tenant_quota.filter(|&quota| entry.inflight >= quota) {
+            entry.shed += 1;
+            let inflight = entry.inflight;
+            self.shed_quota += 1;
+            let label = if tenant.is_empty() {
+                "anonymous tenant".to_string()
+            } else {
+                format!("tenant '{tenant}'")
+            };
+            return Some(CcsError::overloaded(format!(
+                "{label} quota {quota} exhausted ({inflight} requests in flight); retry later"
+            )));
+        }
+        entry.inflight += 1;
+        entry.admitted += 1;
+        self.inflight += 1;
+        self.admitted += 1;
+        None
     }
 
     fn complete(&mut self, tenant: &str) {
@@ -286,13 +302,18 @@ pub struct Connection {
     ordered: bool,
     /// Sessions are connection-scoped: closing the connection drops them.
     sessions: SessionStore,
+    /// The completion hook of every solve this connection admits.
+    wake: Wake,
 }
 
 impl Connection {
-    /// A new connection of `service`, counted in its stats.
-    pub fn open(service: &mut Service) -> Self {
-        service.ledger.connections += 1;
-        service.ledger.active += 1;
+    /// A new connection of `service`, counted in its stats.  `wake` is the
+    /// completion hook ([`Engine::submit_notify`]) of every solve it admits:
+    /// short, never panicking, and followed by [`Connection::advance`].
+    pub fn open(service: &Service, wake: impl Fn() + Send + Sync + 'static) -> Self {
+        let mut ledger = service.ledger();
+        ledger.connections += 1;
+        ledger.active += 1;
         Connection {
             partial: Vec::new(),
             discarding: false,
@@ -302,6 +323,7 @@ impl Connection {
             cap: service.config.max_inflight_per_conn,
             ordered: service.config.ordered,
             sessions: SessionStore::new(),
+            wake: Arc::new(wake),
         }
     }
 
@@ -347,19 +369,17 @@ impl Connection {
     /// Whether the transport should read more: below the in-flight cap with
     /// every buffered line admitted.  At the cap a socket is simply not
     /// read, so TCP flow control pushes back on the client.
-    pub(crate) fn wants_input(&self) -> bool {
+    fn wants_input(&self) -> bool {
         self.solving < self.cap && self.lines.is_empty()
     }
 
     /// Moves everything that can move without new input: finished solves
     /// become response lines, buffered lines are admitted up to the
     /// in-flight cap, and the responses now due are appended to `out`.
-    /// Returns whether anything moved.
-    pub fn advance(&mut self, service: &mut Service, out: &mut Vec<u8>) -> bool {
-        let reaped = self.reap(&mut service.ledger);
-        let admitted = self.admit(service);
-        let emitted = self.emit(out);
-        reaped || admitted || emitted
+    pub fn advance(&mut self, service: &Service, out: &mut Vec<u8>) {
+        self.reap(service);
+        self.admit(service);
+        self.emit(out);
     }
 
     /// Nothing buffered and nothing owed.
@@ -369,23 +389,23 @@ impl Connection {
 
     /// Ends the connection: its unfinished solves are cancelled (and count
     /// as completed), its sessions close, and it leaves the active count.
-    pub(crate) fn close(mut self, service: &mut Service) {
+    fn close(mut self, service: &Service) {
+        let mut ledger = service.ledger();
         for pending in self.pending.drain(..) {
             if let Pending::Solving(job) = pending {
                 job.handle.cancel();
-                service.ledger.complete(&job.tenant);
+                ledger.complete(&job.tenant);
             }
         }
         for (_, session) in self.sessions.iter() {
-            service.ledger.record_session(SessionEvent::Closed {
+            ledger.record_session(SessionEvent::Closed {
                 tenant: session.tenant().map(str::to_string),
             });
         }
-        service.ledger.active -= 1;
+        ledger.active -= 1;
     }
 
-    fn reap(&mut self, ledger: &mut Ledger) -> bool {
-        let mut moved = false;
+    fn reap(&mut self, service: &Service) {
         for slot in &mut self.pending {
             if !matches!(slot, Pending::Solving(job) if job.handle.is_finished()) {
                 continue;
@@ -398,21 +418,18 @@ impl Connection {
                 Ok(solution) => wire::solution_to_json(&job.id, &solution).to_json(),
                 Err(error) => error_line(&job.id, &error),
             });
-            ledger.complete(&job.tenant);
+            service.ledger().complete(&job.tenant);
             self.solving -= 1;
-            moved = true;
         }
-        moved
     }
 
-    fn admit(&mut self, service: &mut Service) -> bool {
-        let mut moved = false;
+    fn admit(&mut self, service: &Service) {
         while self.solving < self.cap {
             let Some(line) = self.lines.pop_front() else {
                 break;
             };
             let pending = match line {
-                Line::Frame(text) => service.admit(&text, &mut self.sessions),
+                Line::Frame(text) => service.admit(&text, &mut self.sessions, &self.wake),
                 Line::TooLong => Pending::Decided(error_line(
                     "",
                     &CcsError::invalid_parameter(format!(
@@ -424,15 +441,12 @@ impl Connection {
                 self.solving += 1;
             }
             self.pending.push_back(pending);
-            moved = true;
         }
-        moved
     }
 
     /// Appends the decided responses that are due: the decided prefix when
     /// `ordered`, else every decided one.
-    fn emit(&mut self, out: &mut Vec<u8>) -> bool {
-        let before = self.pending.len();
+    fn emit(&mut self, out: &mut Vec<u8>) {
         let mut write = |line: &str| {
             out.extend_from_slice(line.as_bytes());
             out.push(b'\n');
@@ -451,7 +465,110 @@ impl Connection {
                 Pending::Solving(_) => true,
             });
         }
-        self.pending.len() != before
+    }
+}
+
+/// What wakes a [`serve`] driver.
+pub enum Event {
+    /// A chunk the pump read: empty at the end of the input, or the error.
+    Input(io::Result<Vec<u8>>),
+    /// One of the client's solves completed.
+    Completed,
+    /// Read nothing more; answer everything received, then return.
+    Drain,
+}
+
+/// Serves one client (see the module docs) until its input ends or an
+/// [`Event::Drain`] arrives and everything it is owed is written, then
+/// closes its connection.  Keep a clone of `channel`'s sender to send the
+/// drain.  `close_input` runs when the pump may still be blocked reading
+/// `input`, and must unblock it (netd shuts the socket's read side down).
+///
+/// # Errors
+/// A failed read or write, which ends the connection and cancels its
+/// solves, or a failure to spawn the pump thread.  A panic while serving
+/// (a solver's, in an inline session solve, say) is re-raised once the
+/// connection is closed.
+pub fn serve(
+    service: &Service,
+    input: impl Read + Send,
+    mut output: impl Write,
+    close_input: impl FnOnce(),
+    (events, inbox): (Sender<Event>, Receiver<Event>),
+) -> io::Result<()> {
+    thread::scope(|scope| {
+        let (credit, credits) = mpsc::channel();
+        let pump_events = events.clone();
+        thread::Builder::new()
+            .name("ccs-pump".to_string())
+            .stack_size(PUMP_STACK_BYTES)
+            .spawn_scoped(scope, move || pump(input, &credits, &pump_events))?;
+        let mut conn = Connection::open(service, move || {
+            let _ = events.send(Event::Completed);
+        });
+        let mut out = Vec::new();
+        // `reading`: new input is still accepted.  `input_open`: the pump
+        // has not seen the input end.  `credited`: the pump holds a credit.
+        let (mut reading, mut input_open, mut credited) = (true, true, false);
+        let result = panic::catch_unwind(AssertUnwindSafe(|| loop {
+            conn.advance(service, &mut out);
+            if !out.is_empty() {
+                if let Err(error) = output.write_all(&out).and_then(|()| output.flush()) {
+                    break Err(error);
+                }
+                out.clear();
+            }
+            if !reading && conn.is_idle() {
+                break Ok(());
+            }
+            if reading && !credited && conn.wants_input() {
+                credited = credit.send(()).is_ok();
+            }
+            match inbox.recv().expect("the wake hook holds a sender") {
+                Event::Input(Ok(bytes)) => {
+                    credited = false;
+                    input_open = !bytes.is_empty();
+                    // Bytes that arrive after a drain are not read.
+                    if reading && bytes.is_empty() {
+                        reading = false;
+                        conn.finish_input();
+                    } else if reading {
+                        conn.receive(&bytes);
+                    }
+                }
+                Event::Input(Err(error)) => {
+                    input_open = false;
+                    break Err(error);
+                }
+                Event::Completed => {}
+                Event::Drain => reading = false,
+            }
+        }));
+        conn.close(service);
+        drop(credit);
+        if input_open && credited {
+            close_input();
+        }
+        result.unwrap_or_else(|panic| panic::resume_unwind(panic))
+    })
+}
+
+/// Reads one chunk of `input` per credit and forwards it, until the input
+/// ends, reading fails, or the driver stops granting credits.
+fn pump(mut input: impl Read, credits: &Receiver<()>, events: &Sender<Event>) {
+    let mut buf = vec![0; CHUNK_BYTES];
+    while credits.recv().is_ok() {
+        let read = loop {
+            match input.read(&mut buf) {
+                Err(error) if error.kind() == ErrorKind::Interrupted => continue,
+                read => break read,
+            }
+        };
+        let end = !matches!(read, Ok(n) if n > 0);
+        let chunk = read.map(|n| buf[..n].to_vec());
+        if events.send(Event::Input(chunk)).is_err() || end {
+            return;
+        }
     }
 }
 

@@ -308,8 +308,8 @@ impl Engine {
     /// once, right after the result becomes visible through the handle
     /// ([`SolveHandle::is_finished`] is `true` by then), on every path that
     /// ends the job — including cancellation at pool shutdown.  A front end
-    /// hands in a channel send (or a thread unpark) and blocks until woken
-    /// instead of polling its handles.
+    /// hands in a channel send and blocks until woken instead of polling
+    /// its handles.
     ///
     /// The hook runs on the completing thread (usually a worker) outside the
     /// worker's panic guard, so it must be short and must not panic: ignore

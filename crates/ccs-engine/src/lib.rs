@@ -22,8 +22,9 @@
 //!   with single-flight coalescing of concurrent identical requests,
 //! * [`wire`] — the `ccs-wire/1` JSON protocol spoken by the `ccs-serve`
 //!   binary (newline-delimited request/response frames over stdin/stdout),
-//! * [`connection`] — the one per-client state machine both front ends
-//!   drive: framing, frame dispatch, admission and response ordering,
+//! * [`connection`] — the one per-client state machine and its blocking
+//!   driver [`serve`], which both front ends run: framing, frame dispatch,
+//!   admission and response ordering,
 //! * [`netd`] — the `ccs-netd` TCP front end: many concurrent connections
 //!   multiplexed onto the worker pool with per-connection backpressure, a
 //!   global queue budget that sheds excess load with structured
@@ -62,7 +63,7 @@ pub mod wire;
 pub mod worker;
 
 pub use cache::{CacheOutcome, CacheStats};
-pub use connection::{Connection, Service, MAX_FRAME_BYTES};
+pub use connection::{serve, Connection, Service, MAX_FRAME_BYTES};
 pub use engine::{Engine, Solution};
 pub use netd::{NetServer, NetdConfig, NetdHandle};
 pub use policy::{Accuracy, ResolvedAccuracy, SolveRequest, WarmStart};

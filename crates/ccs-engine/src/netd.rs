@@ -7,24 +7,23 @@
 //! per connection, matched by `id` ([`NetdConfig::ordered`] pins
 //! per-connection request order for golden-file diffing).
 //!
-//! The server is a single hand-rolled loop over non-blocking `std::net`
-//! sockets (the offline-substitution constraints of DESIGN.md §7 rule out
-//! `mio`/`tokio`): every iteration accepts pending connections, advances
-//! each connection's [`Connection`] state machine (the same one `ccs-serve`
-//! drives over stdio), flushes output buffers, and reads exactly as much new
-//! input as admission control allows.  When nothing moved, the loop parks
-//! until a solve's completion hook unparks it (or a short timeout passes), so
-//! a finished solve wakes it at once.  Solving itself happens on the engine's
-//! workers; the loop only does I/O and bookkeeping, so a slow solve never
-//! stalls other connections.
+//! Every socket is served by [`serve`], the driver `ccs-serve` runs over
+//! stdio, on a thread of its own plus a pump thread that blocks reading the
+//! socket (plain blocking `std::net` I/O: the offline-substitution
+//! constraints of DESIGN.md §7 rule out `mio`/`tokio`, and `poll(2)` would
+//! need `libc` and `unsafe`).  A blocking acceptor hands sockets to one
+//! control loop, which spawns the drivers and handles closes, drain and the
+//! periodic stats line.  Nothing on the request path waits on a timer, and
+//! a connection's inline session solve blocks only that connection.
 //!
 //! Admission control, outermost check first:
 //!
 //! * **Per-connection backpressure** — at most
 //!   [`NetdConfig::max_inflight_per_conn`] admitted requests per connection;
-//!   at the cap the loop simply stops reading that socket (TCP flow control
-//!   pushes back on the client) until completions free a slot.  Nothing is
-//!   shed: a well-behaved pipelining client is throttled, never errored.
+//!   at the cap the driver simply stops reading that socket (TCP flow
+//!   control pushes back on the client) until completions free a slot.
+//!   Nothing is shed: a well-behaved pipelining client is throttled, never
+//!   errored.
 //! * **Global queue budget** — at most [`NetdConfig::queue_budget`] admitted
 //!   requests in flight across all connections (queued *or* running: the
 //!   budget bounds what the service has promised to do, not the pool's
@@ -43,23 +42,18 @@
 //! admitted, output is flushed, then every connection closes and
 //! [`NetServer::run`] returns the final [`ServiceStats`].
 
-use crate::connection::{Connection, Service};
+use crate::connection::{serve, Event, Service};
 use crate::engine::Engine;
 use crate::wire::ServiceStats;
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::collections::HashMap;
+use std::io::ErrorKind;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
+use std::thread;
 use std::time::{Duration, Instant};
-
-/// Stop reading a connection whose client is not draining its responses
-/// once this much serialised output is waiting on it.
-const OUT_HIGH_WATER: usize = 1 << 20;
-
-/// Longest idle wait.  Completions end the wait at once; this only bounds
-/// how soon new socket bytes are seen, because std offers no way to wait on
-/// sockets and a wake-up together (and DESIGN.md §7 excludes `libc`).
-const READ_POLL: Duration = Duration::from_micros(500);
 
 /// Admission limits and emission order of a front end.
 /// `NetdConfig::default()` matches the `ccs-netd` binary's defaults;
@@ -99,6 +93,7 @@ impl Default for NetdConfig {
 #[derive(Debug, Clone)]
 pub struct NetdHandle {
     draining: Arc<AtomicBool>,
+    control: Sender<Control>,
 }
 
 impl NetdHandle {
@@ -107,6 +102,7 @@ impl NetdHandle {
     /// Idempotent.
     pub fn drain(&self) {
         self.draining.store(true, Ordering::Release);
+        let _ = self.control.send(Control::Drain);
     }
 
     /// Whether a drain has been requested.
@@ -115,94 +111,20 @@ impl NetdHandle {
     }
 }
 
-/// An accepted socket and the protocol state its bytes feed.
-struct Client {
-    stream: TcpStream,
-    conn: Connection,
-    /// Serialised responses awaiting the socket; `out_pos` is the prefix
-    /// already written (a cursor avoids re-copying on partial writes).
-    out: Vec<u8>,
-    out_pos: usize,
-    /// The client closed its write side: serve out the backlog, then close.
-    eof: bool,
-    /// I/O error: close now, cancelling what is still in flight.
-    dead: bool,
-}
-
-impl Client {
-    fn flushed(&self) -> bool {
-        self.out_pos == self.out.len()
-    }
-
-    /// Nothing owed and nothing unwritten.
-    fn idle(&self) -> bool {
-        self.conn.is_idle() && self.flushed()
-    }
-
-    fn finished(&self) -> bool {
-        self.dead || (self.eof && self.idle())
-    }
-
-    /// Writes buffered output until the socket would block.  Returns whether
-    /// bytes moved.
-    fn flush(&mut self) -> bool {
-        let mut wrote = false;
-        while !self.dead && !self.flushed() {
-            match self.stream.write(&self.out[self.out_pos..]) {
-                Ok(0) => self.dead = true,
-                Ok(n) => {
-                    self.out_pos += n;
-                    wrote = true;
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => self.dead = true,
-            }
-        }
-        if self.flushed() && self.out_pos > 0 {
-            self.out.clear();
-            self.out_pos = 0;
-        }
-        wrote
-    }
-
-    /// Reads newly arrived bytes while the connection wants input (below its
-    /// in-flight cap, with a client that keeps reading its responses) and
-    /// advances the connection over them.  Returns whether anything moved.
-    fn read(&mut self, service: &mut Service) -> bool {
-        let mut buf = [0u8; 16 * 1024];
-        let mut moved = false;
-        while !self.dead
-            && !self.eof
-            && self.conn.wants_input()
-            && self.out.len() - self.out_pos < OUT_HIGH_WATER
-        {
-            match self.stream.read(&mut buf) {
-                Ok(0) => {
-                    self.eof = true;
-                    self.conn.finish_input();
-                }
-                Ok(n) => self.conn.receive(&buf[..n]),
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.dead = true;
-                    break;
-                }
-            }
-            self.conn.advance(service, &mut self.out);
-            moved = true;
-        }
-        moved
-    }
+/// What the control loop waits for.
+enum Control {
+    Accepted(TcpStream),
+    /// The driver of this connection returned.
+    Closed(u64),
+    Drain,
 }
 
 /// Schedule of the periodic stderr stats line, anchored to a fixed grid
 /// `epoch + k·every`.
 ///
 /// Firing late never shifts later deadlines (rescheduling from the fire
-/// time would let every delay accumulate as drift), and a stalled loop —
-/// e.g. one blocked behind a long inline session solve — skips the
+/// time would let every delay accumulate as drift), and a stalled control
+/// loop — e.g. one the host did not schedule for a while — skips the
 /// intervals it missed instead of emitting a catch-up burst: after a fire
 /// the next deadline is the first grid point strictly in the future.
 struct StatsTicker {
@@ -255,9 +177,10 @@ impl StatsTicker {
 /// ```
 pub struct NetServer {
     engine: Engine,
-    listener: Option<TcpListener>,
+    listener: TcpListener,
     config: NetdConfig,
     draining: Arc<AtomicBool>,
+    control: (Sender<Control>, Receiver<Control>),
 }
 
 impl NetServer {
@@ -269,124 +192,145 @@ impl NetServer {
         addr: impl ToSocketAddrs,
         config: NetdConfig,
     ) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         Ok(NetServer {
             engine,
-            listener: Some(listener),
+            listener: TcpListener::bind(addr)?,
             config,
             draining: Arc::new(AtomicBool::new(false)),
+            control: mpsc::channel(),
         })
     }
 
     /// The bound address (its port is the one to publish when binding to
     /// port `0`).
     pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
-        self.listener
-            .as_ref()
-            .expect("listener present until run() drains")
-            .local_addr()
+        self.listener.local_addr()
     }
 
     /// A drain trigger usable from other threads.
     pub fn handle(&self) -> NetdHandle {
         NetdHandle {
             draining: Arc::clone(&self.draining),
+            control: self.control.0.clone(),
         }
     }
 
-    /// Runs the accept/serve loop until a drain completes, then returns the
-    /// final counters.  Individual connection I/O errors are absorbed (the
-    /// connection is dropped, its admitted jobs cancelled); only listener
-    /// failures abort the server.
+    /// Serves connections until a drain completes, then returns the final
+    /// counters.  A connection's I/O error closes that connection only
+    /// (its admitted jobs are cancelled), and so does a failure to spawn
+    /// its threads; only a failure to start the acceptor aborts the server.
     pub fn run(self) -> std::io::Result<ServiceStats> {
         let NetServer {
             engine,
-            mut listener,
+            listener,
             config,
             draining,
+            control: (control, inbox),
         } = self;
-        let stats_every = config.stats_every;
-        let mut ticker = stats_every.map(|every| StatsTicker::new(Instant::now(), every));
-        // Each completion unparks this thread.  An unpark that lands while
-        // the loop is busy makes the next park return at once, so no
-        // completion waits for the timeout.  (An inline session solve's
-        // scoped threads may consume that token, but such a pass made
-        // progress, and the loop passes again before it parks.)
-        let io_thread = std::thread::current();
-        let mut service = Service::new(engine, config, move || io_thread.unpark());
-        let mut clients: Vec<Client> = Vec::new();
-        loop {
-            let draining = draining.load(Ordering::Acquire);
-            let mut progress = false;
-
-            if draining {
-                // Free the port immediately; queued SYNs are reset.
-                listener = None;
-            } else if let Some(listener) = &listener {
-                loop {
-                    match listener.accept() {
-                        Ok((stream, _peer)) => {
-                            if stream.set_nonblocking(true).is_err() {
-                                continue; // peer already gone
-                            }
-                            let _ = stream.set_nodelay(true);
-                            clients.push(Client {
-                                stream,
-                                conn: Connection::open(&mut service),
-                                out: Vec::new(),
-                                out_pos: 0,
-                                eof: false,
-                                dead: false,
+        let addr = listener.local_addr()?;
+        let mut ticker = config
+            .stats_every
+            .map(|every| StatsTicker::new(Instant::now(), every));
+        let service = Service::new(engine, config);
+        // Resumes an acceptor paused by an accept error; one token suffices.
+        let (resume, resumed) = mpsc::sync_channel(1);
+        thread::scope(|scope| {
+            let accepted = control.clone();
+            let draining = &draining;
+            thread::Builder::new()
+                .name("ccs-netd-accept".to_string())
+                .spawn_scoped(scope, move || {
+                    accept(&listener, draining, &accepted, &resumed)
+                })?;
+            let mut drivers = HashMap::new();
+            let mut next_id = 0;
+            let mut drain = false;
+            while !(drain && drivers.is_empty()) {
+                let message = match &ticker {
+                    Some(ticker) => inbox
+                        .recv_timeout(ticker.next.saturating_duration_since(Instant::now()))
+                        .ok(),
+                    None => inbox.recv().ok(),
+                };
+                match message {
+                    Some(Control::Accepted(stream)) if !drain => {
+                        next_id += 1;
+                        let id = next_id;
+                        let channel = mpsc::channel();
+                        let events = channel.0.clone();
+                        let (service, closed) = (&service, control.clone());
+                        // A failed spawn drops the closure and so closes the
+                        // socket; the scope joins the drivers that run.
+                        let spawned = thread::Builder::new()
+                            .name(format!("ccs-netd-conn-{id}"))
+                            .stack_size(ccs_core::par::WORKER_STACK_BYTES)
+                            .spawn_scoped(scope, move || {
+                                let _ = stream.set_nodelay(true);
+                                let close_input = || {
+                                    let _ = stream.shutdown(Shutdown::Read);
+                                };
+                                // A panic ends this connection only.
+                                let _ = panic::catch_unwind(AssertUnwindSafe(|| {
+                                    serve(service, &stream, &stream, close_input, channel)
+                                }));
+                                let _ = closed.send(Control::Closed(id));
                             });
-                            progress = true;
+                        if spawned.is_ok() {
+                            drivers.insert(id, events);
                         }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                        // Transient per-connection accept failures
-                        // (ECONNABORTED and friends) must not kill the
-                        // server; try again next iteration.
-                        Err(_) => break,
+                    }
+                    // A socket accepted as the drain began closes unserved.
+                    Some(Control::Accepted(_)) | None => {}
+                    Some(Control::Closed(id)) => {
+                        drivers.remove(&id);
+                        let _ = resume.try_send(());
+                    }
+                    Some(Control::Drain) => {
+                        drain = true;
+                        // Wake the acceptor, blocked in `accept` or paused,
+                        // to see the drain flag and drop the listener.
+                        let _ = TcpStream::connect(addr);
+                        let _ = resume.try_send(());
+                        for events in drivers.values() {
+                            let _ = events.send(Event::Drain);
+                        }
+                    }
+                }
+                if let Some(ticker) = &mut ticker {
+                    if ticker.due(Instant::now()) {
+                        service.ledger().stats_ticks = ticker.ticks();
+                        eprintln!("{}", stats_line(&service.stats()));
                     }
                 }
             }
+            let stats = service.stats();
+            if ticker.is_some() {
+                eprintln!("{}", stats_line(&stats));
+            }
+            Ok(stats)
+        })
+    }
+}
 
-            for client in &mut clients {
-                // Also admits complete lines already buffered, which a drain
-                // still serves (they were received before it) — it only
-                // stops reading.
-                progress |= client.conn.advance(&mut service, &mut client.out);
-                progress |= client.flush();
-                if !draining {
-                    progress |= client.read(&mut service);
-                }
-            }
-            for client in clients.extract_if(.., |client| client.finished()) {
-                client.conn.close(&mut service);
-            }
-
-            if let Some(ticker) = &mut ticker {
-                if ticker.due(Instant::now()) {
-                    service.ledger.stats_ticks = ticker.ticks();
-                    eprintln!("{}", stats_line(&service.stats()));
-                }
-            }
-
-            if draining && clients.iter().all(Client::idle) {
-                // A drain closes open sessions with their connections; the
-                // final stats line reports none active.
-                for client in clients {
-                    client.conn.close(&mut service);
-                }
-                let stats = service.stats();
-                if stats_every.is_some() {
-                    eprintln!("{}", stats_line(&stats));
-                }
-                return Ok(stats); // every socket closed with its client
-            }
-            if !progress {
-                std::thread::park_timeout(READ_POLL);
-            }
+/// Hands accepted sockets to the control loop until a drain.  After an
+/// accept error other than an aborted handshake (out of descriptors, say) it
+/// waits for a connection to close, which frees one, or for the drain.
+fn accept(
+    listener: &TcpListener,
+    draining: &AtomicBool,
+    control: &Sender<Control>,
+    resumed: &Receiver<()>,
+) {
+    loop {
+        let more = match listener.accept() {
+            Ok((stream, _peer)) => control.send(Control::Accepted(stream)).is_ok(),
+            Err(error) => match error.kind() {
+                ErrorKind::Interrupted | ErrorKind::ConnectionAborted => true,
+                _ => resumed.recv().is_ok(),
+            },
+        };
+        if !more || draining.load(Ordering::Acquire) {
+            return;
         }
     }
 }

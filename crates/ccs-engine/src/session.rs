@@ -8,12 +8,13 @@
 //! deterministically from its transcript alone).
 //!
 //! Session frames are always decided immediately: open/delta/close are pure
-//! bookkeeping, and session solves run *inline* on the calling service
-//! thread rather than through the worker pool, so a session's solves
-//! observe every delta and warm record that preceded them on the
-//! connection.  That is what makes transcripts byte-exact under replay; the
-//! cost is that an expensive session solve blocks its connection (but never
-//! other connections' worker-pool solves).
+//! bookkeeping, and session solves run *inline* on the connection's driver
+//! thread ([`crate::connection::serve`]) rather than through the worker
+//! pool, so a session's solves observe every delta and warm record that
+//! preceded them on the connection.  That is what makes transcripts
+//! byte-exact under replay; the cost is that an expensive session solve
+//! blocks its own connection.  Every connection has a driver of its own, so
+//! no other connection waits for it.
 
 use crate::engine::Engine;
 use crate::policy::WarmStart;

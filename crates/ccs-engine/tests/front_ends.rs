@@ -1,14 +1,27 @@
-//! Byte-level behaviour both front ends share through [`Connection`]: the
-//! frame-size cap, invalid UTF-8, and an unterminated last line.  The
+//! Byte-level behaviour both front ends share through [`Connection`] and
+//! its driver [`serve`]: the frame-size cap, invalid UTF-8, an unterminated
+//! last line, and how far ahead of admission the input is read.  The
 //! byte-stream cases run through the real `ccs-serve` binary and over TCP to
 //! a [`NetServer`], and must produce identical output.
 
-use ccs_engine::wire::stats_response_from_line;
-use ccs_engine::{Connection, Engine, NetServer, NetdConfig, Service, MAX_FRAME_BYTES};
+use ccs_core::instance::instance_from_pairs;
+use ccs_core::{
+    CcsError, Guarantee, Instance, NonPreemptiveSchedule, Result, ScheduleKind, SolveContext,
+    SolveReport, Solver,
+};
+use ccs_engine::wire::{self, stats_response_from_line, WireRequest};
+use ccs_engine::{
+    serve, Connection, Engine, NetServer, NetdConfig, Service, SolveRequest, SolverRegistry,
+    MAX_FRAME_BYTES,
+};
+use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 fn fixture_line(name: &str, index: usize) -> String {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -88,8 +101,8 @@ fn unterminated_last_line_is_answered_at_eof() {
 
 #[test]
 fn an_oversized_frame_gets_one_error_and_the_connection_survives() {
-    let mut service = Service::new(Engine::new().with_workers(1), NetdConfig::default(), || {});
-    let mut conn = Connection::open(&mut service);
+    let service = Service::new(Engine::new().with_workers(1), NetdConfig::default());
+    let mut conn = Connection::open(&service, || {});
     let mut out = Vec::new();
     let too_long = format!(
         r#"{{"error":{{"kind":"invalid_parameter","message":"wire: frame exceeds {MAX_FRAME_BYTES} bytes"}},"id":"","schema":"ccs-wire/1","status":"error"}}"#
@@ -101,7 +114,7 @@ fn an_oversized_frame_gets_one_error_and_the_connection_survives() {
     at_cap.resize(MAX_FRAME_BYTES, b' ');
     at_cap.push(b'\n');
     conn.receive(&at_cap);
-    conn.advance(&mut service, &mut out);
+    conn.advance(&service, &mut out);
     let reply = String::from_utf8(std::mem::take(&mut out)).unwrap();
     assert_eq!(stats_response_from_line(reply.trim_end()).unwrap().0, "st");
 
@@ -110,7 +123,7 @@ fn an_oversized_frame_gets_one_error_and_the_connection_survives() {
     let chunk = vec![b'x'; MAX_FRAME_BYTES / 4];
     for _ in 0..6 {
         conn.receive(&chunk);
-        conn.advance(&mut service, &mut out);
+        conn.advance(&service, &mut out);
     }
     assert_eq!(
         String::from_utf8(std::mem::take(&mut out)).unwrap(),
@@ -122,9 +135,122 @@ fn an_oversized_frame_gets_one_error_and_the_connection_survives() {
     conn.receive(b"xxxx\n");
     conn.receive(STATS.as_bytes());
     conn.receive(b"\n");
-    conn.advance(&mut service, &mut out);
+    conn.advance(&service, &mut out);
     let reply = String::from_utf8(out).unwrap();
     assert_eq!(reply.lines().count(), 1);
     assert_eq!(stats_response_from_line(reply.trim_end()).unwrap().0, "st");
     assert!(conn.is_idle());
+}
+
+/// Stands in for `exact-nonpreemptive`: reports each start, then holds its
+/// worker until the test opens the gate.
+struct Gated {
+    started: mpsc::Sender<()>,
+    open: Arc<AtomicBool>,
+}
+
+impl Solver<NonPreemptiveSchedule> for Gated {
+    fn name(&self) -> &'static str {
+        "exact-nonpreemptive"
+    }
+    fn kind(&self) -> ScheduleKind {
+        ScheduleKind::NonPreemptive
+    }
+    fn guarantee(&self) -> Guarantee {
+        Guarantee::Exact
+    }
+    fn solve(&self, _: &Instance) -> Result<SolveReport<NonPreemptiveSchedule>> {
+        unreachable!("the engine always runs solvers under a context")
+    }
+    fn solve_ctx(
+        &self,
+        _: &Instance,
+        ctx: &SolveContext,
+    ) -> Result<SolveReport<NonPreemptiveSchedule>> {
+        let _ = self.started.send(());
+        while !self.open.load(Ordering::Acquire) {
+            ctx.checkpoint()?;
+            std::thread::yield_now();
+        }
+        Err(CcsError::internal("gate opened"))
+    }
+}
+
+/// Input that hands out one line per `read` call and counts the calls made
+/// before the gate opened.
+struct Lines {
+    lines: VecDeque<String>,
+    open: Arc<AtomicBool>,
+    calls_while_closed: Arc<AtomicUsize>,
+}
+
+impl Read for Lines {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if !self.open.load(Ordering::Acquire) {
+            self.calls_while_closed.fetch_add(1, Ordering::Relaxed);
+        }
+        let Some(line) = self.lines.pop_front() else {
+            return Ok(0);
+        };
+        buf[..line.len()].copy_from_slice(line.as_bytes());
+        Ok(line.len())
+    }
+}
+
+#[test]
+fn the_driver_reads_one_chunk_past_the_in_flight_cap_at_most() {
+    const LINES: usize = 6;
+    let open = Arc::new(AtomicBool::new(false));
+    let (started, starts) = mpsc::channel();
+    let mut registry = SolverRegistry::with_defaults();
+    registry.replace(Gated {
+        started,
+        open: Arc::clone(&open),
+    });
+    let config = NetdConfig {
+        max_inflight_per_conn: 2,
+        ..NetdConfig::default()
+    };
+    let service = Service::new(Engine::with_registry(registry).with_workers(2), config);
+    let calls_while_closed = Arc::new(AtomicUsize::new(0));
+    let input = Lines {
+        lines: (0..LINES)
+            .map(|i| {
+                let request = WireRequest {
+                    id: format!("r{i}"),
+                    tenant: None,
+                    instance: instance_from_pairs(2, 1, &[(3, 0), (4, 0), (2, 1)]).unwrap(),
+                    request: SolveRequest::exact(ScheduleKind::NonPreemptive),
+                };
+                wire::request_to_line(&request) + "\n"
+            })
+            .collect(),
+        open: Arc::clone(&open),
+        calls_while_closed: Arc::clone(&calls_while_closed),
+    };
+
+    let mut out = Vec::new();
+    std::thread::scope(|scope| {
+        scope.spawn(move || {
+            // Both admitted solves hold their workers; a driver that read
+            // past the cap would have read the remaining lines by now.
+            starts.recv().unwrap();
+            starts.recv().unwrap();
+            std::thread::sleep(Duration::from_millis(50));
+            open.store(true, Ordering::Release);
+        });
+        serve(&service, input, &mut out, || {}, mpsc::channel()).expect("in-memory I/O");
+    });
+
+    let reads = calls_while_closed.load(Ordering::Relaxed);
+    assert!(
+        (2..=3).contains(&reads),
+        "{reads} reads before a solve completed; the cap admits 2 lines"
+    );
+    let out = String::from_utf8(out).unwrap();
+    assert_eq!(out.lines().count(), LINES, "{out}");
+    assert!(
+        out.lines().all(|line| line.contains("gate opened")),
+        "{out}"
+    );
 }

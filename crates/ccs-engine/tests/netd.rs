@@ -2,13 +2,15 @@
 //! per-connection backpressure, queue-budget load shedding, per-tenant
 //! quotas, the `stats` wire frame, and graceful drain.
 //!
-//! Every test binds an ephemeral port, runs the real poll loop on a thread,
+//! Every test binds an ephemeral port, runs the real server on a thread,
 //! and speaks `ccs-wire/1` over real sockets.
 
 use ccs_core::instance::instance_from_pairs;
-use ccs_core::{CcsError, Instance, ScheduleKind};
+use ccs_core::{
+    CcsError, Guarantee, Instance, NonPreemptiveSchedule, ScheduleKind, SolveReport, Solver,
+};
 use ccs_engine::wire::{self, ServiceStats, WireRequest};
-use ccs_engine::{Engine, NetServer, NetdConfig, NetdHandle, SolveRequest};
+use ccs_engine::{Engine, NetServer, NetdConfig, NetdHandle, SolveRequest, SolverRegistry};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -64,16 +66,22 @@ fn tiny_instance(salt: u64) -> Instance {
     instance_from_pairs(2, 1, &[(3 + salt % 5, 0), (4, 0), (2 + salt % 3, 1)]).unwrap()
 }
 
-/// An instance the exact non-preemptive solver cannot finish within its
-/// budget — occupies a worker for the full `budget_ms`.
-fn slow_request(id: &str, tenant: Option<&str>, budget_ms: u64) -> String {
+/// An instance the exact non-preemptive solver cannot finish within a
+/// budget of a few hundred ms.
+fn slow_instance() -> Instance {
     let big: Vec<(u64, u32)> = (0..22)
         .map(|i| (911 + 37 * i as u64, (i % 6) as u32))
         .collect();
+    instance_from_pairs(6, 2, &big).unwrap()
+}
+
+/// An exact solve of [`slow_instance`]: occupies a worker for the full
+/// `budget_ms`.
+fn slow_request(id: &str, tenant: Option<&str>, budget_ms: u64) -> String {
     wire::request_to_line(&WireRequest {
         id: id.to_string(),
         tenant: tenant.map(str::to_string),
-        instance: instance_from_pairs(6, 2, &big).unwrap(),
+        instance: slow_instance(),
         request: SolveRequest::exact(ScheduleKind::NonPreemptive)
             .with_budget(Duration::from_millis(budget_ms)),
     })
@@ -584,4 +592,117 @@ fn malformed_lines_answer_without_killing_the_connection() {
     handle.drain();
     let stats = join.join().expect("server thread");
     assert_eq!(stats.admitted, 1);
+}
+
+#[test]
+fn a_slow_session_solve_does_not_stall_another_connection() {
+    let engine = Engine::new().with_workers(2);
+    let (addr, handle, join) = start(engine, NetdConfig::default());
+    let (mut slow, mut slow_reader) = connect(addr);
+    let (mut quick, mut quick_reader) = connect(addr);
+    // Both connections are being served before the slow solve starts.
+    send_lines(&mut quick, &[stats_frame("ready")]);
+    read_line(&mut quick_reader).expect("stats reply");
+
+    // Connection A: an exact session solve of the slow instance runs inline
+    // for its whole 500 ms budget.
+    let open = wire::session_frame_to_line(&wire::SessionFrame::Open {
+        id: "open".to_string(),
+        tenant: None,
+        instance: ccs_session::SessionInstance::from_instance(&slow_instance()),
+    });
+    send_lines(&mut slow, &[open]);
+    let session = match wire::session_ack_from_line(&read_line(&mut slow_reader).unwrap()) {
+        Ok(wire::SessionAck::State { session, .. }) => session,
+        other => panic!("expected a state ack, got {other:?}"),
+    };
+    let solve = wire::session_frame_to_line(&wire::SessionFrame::Solve {
+        id: "slow".to_string(),
+        session,
+        request: SolveRequest::exact(ScheduleKind::NonPreemptive)
+            .with_budget(Duration::from_millis(500)),
+    });
+    let (order, replies) = std::sync::mpsc::channel();
+    let slow_order = order.clone();
+    let slow_thread = std::thread::spawn(move || {
+        send_lines(&mut slow, &[solve]);
+        let line = read_line(&mut slow_reader).expect("slow reply");
+        slow_order.send("slow").unwrap();
+        line
+    });
+
+    // Connection B: a quick request sent while A's solve runs.
+    send_lines(&mut quick, &[quick_request("quick", None, 1)]);
+    let line = read_line(&mut quick_reader).expect("quick reply");
+    order.send("quick").unwrap();
+    assert!(wire::response_from_line(&line).unwrap().outcome.is_ok());
+
+    let slow_line = slow_thread.join().expect("slow client");
+    let slow_reply = wire::response_from_line(&slow_line).unwrap();
+    assert_eq!(slow_reply.outcome, Err(CcsError::DeadlineExceeded));
+    assert_eq!(
+        replies.try_iter().collect::<Vec<_>>(),
+        ["quick", "slow"],
+        "B's reply must not wait behind A's session solve"
+    );
+
+    handle.drain();
+    join.join().expect("server thread");
+}
+
+/// Stands in for `exact-nonpreemptive` and panics.
+struct Panicking;
+
+impl Solver<NonPreemptiveSchedule> for Panicking {
+    fn name(&self) -> &'static str {
+        "exact-nonpreemptive"
+    }
+    fn kind(&self) -> ScheduleKind {
+        ScheduleKind::NonPreemptive
+    }
+    fn guarantee(&self) -> Guarantee {
+        Guarantee::Exact
+    }
+    fn solve(&self, _: &Instance) -> ccs_core::Result<SolveReport<NonPreemptiveSchedule>> {
+        panic!("planted solver panic")
+    }
+}
+
+#[test]
+fn a_panicking_session_solve_ends_only_its_own_connection() {
+    let mut registry = SolverRegistry::with_defaults();
+    registry.replace(Panicking);
+    let engine = Engine::with_registry(registry).with_workers(1);
+    let (addr, handle, join) = start(engine, NetdConfig::default());
+    let (mut doomed, mut doomed_reader) = connect(addr);
+    let (mut other, mut other_reader) = connect(addr);
+
+    // A session solve runs inline on the connection's driver, outside the
+    // worker pool's panic guard.
+    let open = wire::session_frame_to_line(&wire::SessionFrame::Open {
+        id: "open".to_string(),
+        tenant: None,
+        instance: ccs_session::SessionInstance::from_instance(&tiny_instance(1)),
+    });
+    send_lines(&mut doomed, &[open]);
+    let session = match wire::session_ack_from_line(&read_line(&mut doomed_reader).unwrap()) {
+        Ok(wire::SessionAck::State { session, .. }) => session,
+        other => panic!("expected a state ack, got {other:?}"),
+    };
+    let solve = wire::session_frame_to_line(&wire::SessionFrame::Solve {
+        id: "boom".to_string(),
+        session,
+        request: SolveRequest::exact(ScheduleKind::NonPreemptive),
+    });
+    send_lines(&mut doomed, &[solve]);
+    assert_eq!(read_line(&mut doomed_reader), None, "the connection closes");
+
+    // The other connection is still served, and the drain completes.
+    send_lines(&mut other, &[stats_frame("st")]);
+    let (_, stats) =
+        wire::stats_response_from_line(&read_line(&mut other_reader).unwrap()).unwrap();
+    assert_eq!(stats.active_connections, 1);
+    handle.drain();
+    let stats = join.join().expect("server thread");
+    assert_eq!(stats.active_connections, 0);
 }

@@ -12,15 +12,15 @@
 //!   the JSON depth limit) and the exact response bytes.
 //!
 //! Every `ci/*-requests.ndjson` / `*-expected.ndjson` pair is also replayed
-//! here through a [`Connection`] — the state machine both binaries drive —
-//! so the goldens hold in the tier-1 suite, not only in CI's binary replays.
+//! here through [`serve`] — the driver both binaries run — so the goldens
+//! hold in the tier-1 suite, not only in CI's binary replays.
 //!
 //! Any codec change that alters error bytes must consciously update the
 //! fixtures — that is the point.
 
 use ccs_core::{CcsError, Rational};
 use ccs_engine::wire::{self, WireResponse};
-use ccs_engine::{Connection, Engine, NetdConfig, Service, SolveRequest};
+use ccs_engine::{serve, Engine, NetdConfig, Service, SolveRequest};
 use std::path::PathBuf;
 use std::sync::mpsc;
 
@@ -76,28 +76,24 @@ fn error_frames_match_the_committed_goldens() {
     }
 }
 
-/// Feeds `requests` to one ordered [`Connection`] as a single input that
-/// then ends, and returns every byte it emits.
+/// Serves `requests` as one ordered client's whole input and returns every
+/// byte written back.
 fn replay(requests: &str) -> String {
-    let (wake, woken) = mpsc::channel();
     let config = NetdConfig {
         ordered: true,
         ..NetdConfig::default()
     };
-    let mut service = Service::new(Engine::new().with_workers(2), config, move || {
-        let _ = wake.send(());
-    });
-    let mut conn = Connection::open(&mut service);
-    conn.receive(requests.as_bytes());
-    conn.finish_input();
+    let service = Service::new(Engine::new().with_workers(2), config);
     let mut out = Vec::new();
-    loop {
-        conn.advance(&mut service, &mut out);
-        if conn.is_idle() {
-            return String::from_utf8(out).expect("frames are UTF-8");
-        }
-        woken.recv().expect("a solve is in flight");
-    }
+    serve(
+        &service,
+        requests.as_bytes(),
+        &mut out,
+        || {},
+        mpsc::channel(),
+    )
+    .expect("in-memory I/O");
+    String::from_utf8(out).expect("frames are UTF-8")
 }
 
 /// Every committed request fixture reproduces its expected responses byte
