@@ -1,6 +1,6 @@
 //! E-T10: the splittable PTAS — runtime growth as the accuracy 1/δ increases.
 use ccs_bench::{BenchOpts, Family, Harness};
-use ccs_engine::erase;
+use ccs_core::Solver;
 use ccs_ptas::{PtasParams, SplittablePtas};
 use std::process::ExitCode;
 
@@ -11,9 +11,9 @@ fn main() -> ExitCode {
     let sweep: &[u64] = if opts.quick { &[2, 3] } else { &[2, 3, 4] };
     for &delta_inv in sweep {
         let params = PtasParams::with_delta_inv(delta_inv).unwrap();
-        let solver = erase(SplittablePtas::new(params));
+        let solver = SplittablePtas::new(params);
         let case = format!("delta_inv/{delta_inv}");
-        if let Err(e) = harness.bench_erased(solver.as_ref(), &case, &inst) {
+        if let Err(e) = harness.bench_erased(&solver, &case, &inst) {
             harness.skip(solver.name(), &case, &e);
         }
     }

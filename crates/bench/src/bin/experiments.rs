@@ -2,7 +2,8 @@
 //!
 //! **Table mode** (default, or `--exp <id>`): prints, for every experiment
 //! id of `DESIGN.md` section 5, the quality/size table the paper's theorems
-//! promise.  Ids: `t4 t5 t6 l2 l3 t10 t11 t14 t19 f1 f2 f3 f4 f5 all`.
+//! promise.  Ids: `t4 t5 t6 l2 l3 t10 t11 t14 t19 f1 f2 f3 f4 f5 all`; an
+//! unknown id exits with status 2 and lists them.
 //!
 //! **Suite mode** (any of `--quick`, `--json <path>`, `--check <baseline>`):
 //! benches every solver in the engine registry across every generator
@@ -15,12 +16,18 @@
 //!     --quick --json bench.json --check BENCH_baseline.json
 //! ```
 
+use ccs_approx::{Nonpreemptive73Approx, PreemptiveTwoApprox, SplittableTwoApprox};
 use ccs_bench::{ratio_vs_lower_bound, BenchOpts, Family, Harness};
 use ccs_core::solver::SolverCost;
-use ccs_core::{Rational, Schedule, ScheduleKind};
+use ccs_core::{Rational, ScheduleKind, Solver};
 use ccs_engine::{Engine, SolverMeta};
-use ccs_ptas::PtasParams;
+use ccs_ptas::{NonpreemptivePtas, PreemptivePtas, PtasParams, SplittablePtas};
 use std::process::ExitCode;
+
+/// The `--exp` ids of table mode.
+const EXPERIMENT_IDS: [&str; 15] = [
+    "t4", "t5", "t6", "l2", "l3", "t10", "t11", "t14", "t19", "f1", "f2", "f3", "f4", "f5", "all",
+];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -61,6 +68,11 @@ fn main() -> ExitCode {
             // Table mode produces no report, so silently accepting the
             // suite flags would e.g. skip a requested baseline check.
             eprintln!("--exp (table mode) cannot be combined with --quick/--json/--check");
+            ExitCode::from(2)
+        }
+        Some(id) if !EXPERIMENT_IDS.contains(&id.as_str()) => {
+            eprintln!("unknown experiment id '{id}'");
+            eprintln!("valid ids: {}", EXPERIMENT_IDS.join(" "));
             ExitCode::from(2)
         }
         Some(id) => {
@@ -120,8 +132,8 @@ fn run_tables(exp: &str) {
             "E-T4  splittable 2-approx (Thm 4)",
             ScheduleKind::Splittable,
             |inst| {
-                let r = ccs_approx::splittable_two_approx(inst).unwrap();
-                (r.schedule.makespan(inst), r.search_iterations)
+                let r = SplittableTwoApprox.solve(inst).unwrap();
+                (r.makespan, r.stats.search_iterations)
             },
         );
     }
@@ -130,8 +142,8 @@ fn run_tables(exp: &str) {
             "E-T5  preemptive 2-approx (Thm 5)",
             ScheduleKind::Preemptive,
             |inst| {
-                let r = ccs_approx::preemptive_two_approx(inst).unwrap();
-                (r.schedule.makespan(inst), r.search_iterations)
+                let r = PreemptiveTwoApprox.solve(inst).unwrap();
+                (r.makespan, r.stats.search_iterations)
             },
         );
     }
@@ -140,8 +152,8 @@ fn run_tables(exp: &str) {
             "E-T6  non-preemptive 7/3-approx (Thm 6)",
             ScheduleKind::NonPreemptive,
             |inst| {
-                let r = ccs_approx::nonpreemptive_73_approx(inst).unwrap();
-                (r.schedule.makespan(inst), r.search_iterations)
+                let r = Nonpreemptive73Approx.solve(inst).unwrap();
+                (r.makespan, r.stats.search_iterations)
             },
         );
     }
@@ -204,8 +216,8 @@ fn exp_l2() {
     println!("{:>16} {:>12}", "machines", "iterations");
     for &m in &[16u64, 1 << 10, 1 << 20, 1 << 40] {
         let inst = Family::Uniform.instance(200, m, 32, 3, 3);
-        let r = ccs_approx::splittable_two_approx(&inst).unwrap();
-        println!("{:>16} {:>12}", m, r.search_iterations);
+        let r = SplittableTwoApprox.solve(&inst).unwrap();
+        println!("{:>16} {:>12}", m, r.stats.search_iterations);
     }
 }
 
@@ -252,46 +264,34 @@ fn exp_ptas(which: &str) {
             if which == "all" || which == "t10" {
                 if let (Ok(opt), Ok(ptas), Ok(approx)) = (
                     ccs_exact::splittable_optimum(&inst),
-                    ccs_ptas::splittable_ptas(&inst, params),
-                    ccs_approx::splittable_two_approx(&inst),
+                    SplittablePtas::new(params).solve(&inst),
+                    SplittableTwoApprox.solve(&inst),
                 ) {
-                    row(
-                        "splittable",
-                        delta_inv,
-                        opt,
-                        ptas.schedule.makespan(&inst),
-                        approx.schedule.makespan(&inst),
-                    );
+                    row("splittable", delta_inv, opt, ptas.makespan, approx.makespan);
                 }
             }
             if which == "all" || which == "t14" {
                 if let (Ok(opt), Ok(ptas), Ok(approx)) = (
-                    ccs_exact::nonpreemptive_optimum(&inst),
-                    ccs_ptas::nonpreemptive_ptas(&inst, params),
-                    ccs_approx::nonpreemptive_73_approx(&inst),
+                    ccs_exact::ExactNonPreemptive.solve(&inst),
+                    NonpreemptivePtas::new(params).solve(&inst),
+                    Nonpreemptive73Approx.solve(&inst),
                 ) {
                     row(
                         "non-preemptive",
                         delta_inv,
-                        Rational::from(opt),
-                        ptas.schedule.makespan(&inst),
-                        approx.schedule.makespan(&inst),
+                        opt.makespan,
+                        ptas.makespan,
+                        approx.makespan,
                     );
                 }
             }
             if which == "all" || which == "t19" {
                 if let (Ok(opt), Ok(ptas), Ok(approx)) = (
                     ccs_exact::preemptive_optimum(&inst),
-                    ccs_ptas::preemptive_ptas(&inst, params),
-                    ccs_approx::preemptive_two_approx(&inst),
+                    PreemptivePtas::new(params).solve(&inst),
+                    PreemptiveTwoApprox.solve(&inst),
                 ) {
-                    row(
-                        "preemptive",
-                        delta_inv,
-                        opt,
-                        ptas.schedule.makespan(&inst),
-                        approx.schedule.makespan(&inst),
-                    );
+                    row("preemptive", delta_inv, opt, ptas.makespan, approx.makespan);
                 }
             }
         }
@@ -320,12 +320,12 @@ fn exp_t11() {
     );
     for &m in &[1_000_000u64, 1_000_000_000, 1_000_000_000_000] {
         let inst = Family::Zipf.instance(100, m, 16, 2, 7);
-        let r = ccs_approx::splittable_two_approx(&inst).unwrap();
+        let r = SplittableTwoApprox.solve(&inst).unwrap();
         let ratio = ratio_vs_lower_bound(&inst, &r.schedule, ScheduleKind::Splittable);
         println!(
             "{:>16} {:>14.6} {:>14.3} {:>10}",
             m,
-            r.schedule.makespan(&inst).to_f64(),
+            r.makespan.to_f64(),
             ratio,
             r.schedule.encoding_size()
         );
@@ -339,11 +339,8 @@ fn exp_figures_1_2() {
     // Ten classes with decreasing loads on four machines, as in the figure.
     let jobs: Vec<(u64, u32)> = (0..10).map(|i| (10 - i as u64, i as u32)).collect();
     let inst = ccs_core::instance::instance_from_pairs(4, 3, &jobs).unwrap();
-    let split = ccs_approx::splittable_two_approx(&inst).unwrap();
-    println!(
-        "splittable round robin, makespan {}",
-        split.schedule.makespan(&inst)
-    );
+    let split = SplittableTwoApprox.solve(&inst).unwrap();
+    println!("splittable round robin, makespan {}", split.makespan);
     for machine in 0..4u64 {
         let load = split.schedule.load_of_machine(machine);
         let classes = split.schedule.classes_on_machine(&inst, machine);
@@ -353,11 +350,8 @@ fn exp_figures_1_2() {
             classes
         );
     }
-    let pre = ccs_approx::preemptive_two_approx(&inst).unwrap();
-    println!(
-        "preemptive repacking, makespan {}",
-        pre.schedule.makespan(&inst)
-    );
+    let pre = PreemptiveTwoApprox.solve(&inst).unwrap();
+    println!("preemptive repacking, makespan {}", pre.makespan);
     for (i, pieces) in pre.schedule.machines().iter().enumerate() {
         let mut desc: Vec<String> = pieces
             .iter()
@@ -373,7 +367,7 @@ fn exp_figures_1_2() {
 fn exp_f3() {
     println!("\n== F-3  exponential m: compact encoding sizes ==");
     let inst = Family::Uniform.instance(60, 1 << 40, 12, 2, 9);
-    let r = ccs_approx::splittable_two_approx(&inst).unwrap();
+    let r = SplittableTwoApprox.solve(&inst).unwrap();
     println!(
         "n = {}, m = 2^40: schedule encoded with {} explicit pieces / runs (polynomial in n)",
         inst.num_jobs(),
@@ -388,10 +382,10 @@ fn exp_f4() {
         ccs_core::instance::instance_from_pairs(2, 2, &[(6, 0), (5, 0), (4, 1), (3, 1), (1, 2)])
             .unwrap();
     let params = PtasParams::with_delta_inv(2).unwrap();
-    let res = ccs_ptas::nonpreemptive_ptas(&inst, params).unwrap();
+    let res = NonpreemptivePtas::new(params).solve(&inst).unwrap();
     println!(
-        "accepted guess {}, makespan {}",
-        res.guess,
+        "lower bound {}, makespan {}",
+        res.lower_bound,
         res.schedule.makespan_int(&inst)
     );
     for (machine, jobs) in res.schedule.machine_contents() {

@@ -104,6 +104,7 @@ pub const SIZE_SWEEP: [usize; 4] = [50, 100, 200, 400];
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccs_core::Solver;
 
     #[test]
     fn families_generate_feasible_instances() {
@@ -124,7 +125,7 @@ mod tests {
     #[test]
     fn ratio_helper_at_least_one() {
         let inst = Family::Uniform.instance(30, 4, 8, 2, 1);
-        let res = ccs_approx::splittable_two_approx(&inst).unwrap();
+        let res = ccs_approx::SplittableTwoApprox.solve(&inst).unwrap();
         let ratio = ratio_vs_lower_bound(&inst, &res.schedule, ScheduleKind::Splittable);
         assert!((1.0..=2.0001).contains(&ratio));
     }

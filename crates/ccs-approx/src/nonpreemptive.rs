@@ -18,22 +18,44 @@
 use crate::lpt::{group_loads, lpt_assign};
 use crate::result::ApproxResult;
 use crate::round_robin::descending_order;
+use ccs_core::solver::{Guarantee, SolveReport, Solver};
 use ccs_core::{
     bounds, CcsError, ClassId, Instance, JobId, NonPreemptiveSchedule, Rational, Result,
-    SolveContext,
+    ScheduleKind, SolveContext,
 };
 
-/// Runs the 7/3-approximation for the non-preemptive case.
-pub fn nonpreemptive_73_approx(inst: &Instance) -> Result<ApproxResult<NonPreemptiveSchedule>> {
-    nonpreemptive_73_approx_ctx(inst, &SolveContext::unbounded())
+/// The non-preemptive 7/3-approximation of Theorem 6 (deadline /
+/// cancellation polled per binary-search iteration).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Nonpreemptive73Approx;
+
+impl Solver for Nonpreemptive73Approx {
+    type Schedule = NonPreemptiveSchedule;
+
+    fn name(&self) -> &'static str {
+        "approx-nonpreemptive-7/3"
+    }
+
+    fn kind(&self) -> ScheduleKind {
+        ScheduleKind::NonPreemptive
+    }
+
+    fn guarantee(&self) -> Guarantee {
+        Guarantee::Factor(Rational::new(7, 3))
+    }
+
+    fn solve_ctx(
+        &self,
+        inst: &Instance,
+        ctx: &SolveContext,
+    ) -> Result<SolveReport<NonPreemptiveSchedule>> {
+        Ok(run(inst, ctx)?.into_report(inst))
+    }
 }
 
-/// [`nonpreemptive_73_approx`] under an execution context (deadline /
-/// cancellation polled per binary-search iteration).
-pub fn nonpreemptive_73_approx_ctx(
-    inst: &Instance,
-    ctx: &SolveContext,
-) -> Result<ApproxResult<NonPreemptiveSchedule>> {
+/// Runs the 7/3-approximation, keeping the accepted guess `T` beside the
+/// schedule.
+fn run(inst: &Instance, ctx: &SolveContext) -> Result<ApproxResult<NonPreemptiveSchedule>> {
     ctx.checkpoint()?;
     if !inst.is_feasible() {
         return Err(CcsError::infeasible(format!(
@@ -183,8 +205,12 @@ mod tests {
     use ccs_core::instance::instance_from_pairs;
     use ccs_core::Schedule;
 
+    fn approx(inst: &Instance) -> Result<ApproxResult<NonPreemptiveSchedule>> {
+        run(inst, &SolveContext::unbounded())
+    }
+
     fn check(inst: &Instance) -> ApproxResult<NonPreemptiveSchedule> {
-        let res = nonpreemptive_73_approx(inst).unwrap();
+        let res = approx(inst).unwrap();
         res.schedule.validate(inst).unwrap();
         let makespan = res.schedule.makespan(inst);
         assert!(
@@ -264,7 +290,7 @@ mod tests {
     #[test]
     fn infeasible_instance_rejected() {
         let inst = instance_from_pairs(1, 1, &[(1, 0), (1, 1)]).unwrap();
-        assert!(nonpreemptive_73_approx(&inst).is_err());
+        assert!(approx(&inst).is_err());
     }
 
     #[test]
@@ -299,8 +325,8 @@ mod tests {
     fn deterministic_output() {
         let jobs: Vec<(u64, u32)> = (0..20).map(|i| (3 + i as u64, (i % 6) as u32)).collect();
         let inst = instance_from_pairs(5, 2, &jobs).unwrap();
-        let a = nonpreemptive_73_approx(&inst).unwrap();
-        let b = nonpreemptive_73_approx(&inst).unwrap();
+        let a = approx(&inst).unwrap();
+        let b = approx(&inst).unwrap();
         assert_eq!(a.schedule, b.schedule);
     }
 }

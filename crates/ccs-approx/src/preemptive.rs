@@ -16,21 +16,43 @@ use crate::border_search::{self, BorderSearch};
 use crate::chunking::{chunk_pieces, split_classes};
 use crate::result::ApproxResult;
 use crate::round_robin::descending_order;
+use ccs_core::solver::{Guarantee, SolveReport, Solver};
 use ccs_core::{
-    bounds, CcsError, Instance, PreemptivePiece, PreemptiveSchedule, Rational, Result, SolveContext,
+    bounds, CcsError, Instance, PreemptivePiece, PreemptiveSchedule, Rational, Result,
+    ScheduleKind, SolveContext,
 };
 
-/// Runs the 2-approximation for the preemptive case.
-pub fn preemptive_two_approx(inst: &Instance) -> Result<ApproxResult<PreemptiveSchedule>> {
-    preemptive_two_approx_ctx(inst, &SolveContext::unbounded())
+/// Algorithms 1+2 of the paper: the preemptive 2-approximation of
+/// Theorem 5 (deadline / cancellation polled inside the border search).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PreemptiveTwoApprox;
+
+impl Solver for PreemptiveTwoApprox {
+    type Schedule = PreemptiveSchedule;
+
+    fn name(&self) -> &'static str {
+        "approx-preemptive-2"
+    }
+
+    fn kind(&self) -> ScheduleKind {
+        ScheduleKind::Preemptive
+    }
+
+    fn guarantee(&self) -> Guarantee {
+        Guarantee::Factor(Rational::from_int(2))
+    }
+
+    fn solve_ctx(
+        &self,
+        inst: &Instance,
+        ctx: &SolveContext,
+    ) -> Result<SolveReport<PreemptiveSchedule>> {
+        Ok(run(inst, ctx)?.into_report(inst))
+    }
 }
 
-/// [`preemptive_two_approx`] under an execution context (deadline /
-/// cancellation polled inside the border search).
-pub fn preemptive_two_approx_ctx(
-    inst: &Instance,
-    ctx: &SolveContext,
-) -> Result<ApproxResult<PreemptiveSchedule>> {
+/// Runs Algorithms 1+2, keeping the accepted guess `T*` beside the schedule.
+fn run(inst: &Instance, ctx: &SolveContext) -> Result<ApproxResult<PreemptiveSchedule>> {
     ctx.checkpoint()?;
     if !inst.is_feasible() {
         return Err(CcsError::infeasible(format!(
@@ -130,8 +152,12 @@ mod tests {
     use ccs_core::instance::instance_from_pairs;
     use ccs_core::Schedule;
 
+    fn approx(inst: &Instance) -> Result<ApproxResult<PreemptiveSchedule>> {
+        run(inst, &SolveContext::unbounded())
+    }
+
     fn check(inst: &Instance) -> ApproxResult<PreemptiveSchedule> {
-        let res = preemptive_two_approx(inst).unwrap();
+        let res = approx(inst).unwrap();
         res.schedule.validate(inst).unwrap();
         let makespan = res.schedule.makespan(inst);
         assert!(
@@ -200,7 +226,7 @@ mod tests {
     #[test]
     fn infeasible_instance_rejected() {
         let inst = instance_from_pairs(1, 1, &[(1, 0), (1, 1)]).unwrap();
-        assert!(preemptive_two_approx(&inst).is_err());
+        assert!(approx(&inst).is_err());
     }
 
     #[test]
@@ -220,8 +246,8 @@ mod tests {
     fn deterministic_output() {
         let jobs: Vec<(u64, u32)> = (0..15).map(|i| (3 + i as u64, (i % 5) as u32)).collect();
         let inst = instance_from_pairs(4, 2, &jobs).unwrap();
-        let a = preemptive_two_approx(&inst).unwrap();
-        let b = preemptive_two_approx(&inst).unwrap();
+        let a = approx(&inst).unwrap();
+        let b = approx(&inst).unwrap();
         assert_eq!(a.schedule, b.schedule);
     }
 }

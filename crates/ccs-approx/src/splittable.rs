@@ -15,24 +15,47 @@
 use crate::border_search::{self, BorderSearch};
 use crate::chunking::{chunk_pieces, class_chunk_counts, Chunk};
 use crate::result::ApproxResult;
+use ccs_core::solver::{Guarantee, SolveReport, Solver};
 use ccs_core::{
-    bounds, CcsError, ClassRun, Instance, Rational, Result, SolveContext, SplittableSchedule,
+    bounds, CcsError, ClassRun, Instance, Rational, Result, ScheduleKind, SolveContext,
+    SplittableSchedule,
 };
 
-/// Runs the 2-approximation for the splittable case.
+/// Algorithm 1 of the paper: the splittable 2-approximation of Theorem 4
+/// (including the compact output encoding for exponential `m`).
 ///
-/// Returns an error only if the instance admits no feasible schedule at all
-/// (`C > c·m`).
-pub fn splittable_two_approx(inst: &Instance) -> Result<ApproxResult<SplittableSchedule>> {
-    splittable_two_approx_ctx(inst, &SolveContext::unbounded())
+/// Fails only if the instance admits no feasible schedule at all
+/// (`C > c·m`); the deadline / cancellation of the context is polled inside
+/// the border search.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SplittableTwoApprox;
+
+impl Solver for SplittableTwoApprox {
+    type Schedule = SplittableSchedule;
+
+    fn name(&self) -> &'static str {
+        "approx-splittable-2"
+    }
+
+    fn kind(&self) -> ScheduleKind {
+        ScheduleKind::Splittable
+    }
+
+    fn guarantee(&self) -> Guarantee {
+        Guarantee::Factor(Rational::from_int(2))
+    }
+
+    fn solve_ctx(
+        &self,
+        inst: &Instance,
+        ctx: &SolveContext,
+    ) -> Result<SolveReport<SplittableSchedule>> {
+        Ok(run(inst, ctx)?.into_report(inst))
+    }
 }
 
-/// [`splittable_two_approx`] under an execution context (deadline /
-/// cancellation polled inside the border search).
-pub fn splittable_two_approx_ctx(
-    inst: &Instance,
-    ctx: &SolveContext,
-) -> Result<ApproxResult<SplittableSchedule>> {
+/// Runs Algorithm 1, keeping the accepted guess `T*` beside the schedule.
+fn run(inst: &Instance, ctx: &SolveContext) -> Result<ApproxResult<SplittableSchedule>> {
     ctx.checkpoint()?;
     if !inst.is_feasible() {
         return Err(CcsError::infeasible(format!(
@@ -125,8 +148,12 @@ mod tests {
     use ccs_core::instance::instance_from_pairs;
     use ccs_core::Schedule;
 
+    fn approx(inst: &Instance) -> Result<ApproxResult<SplittableSchedule>> {
+        run(inst, &SolveContext::unbounded())
+    }
+
     fn check(inst: &Instance) -> ApproxResult<SplittableSchedule> {
-        let res = splittable_two_approx(inst).unwrap();
+        let res = approx(inst).unwrap();
         res.schedule.validate(inst).unwrap();
         let makespan = res.schedule.makespan(inst);
         // Internal guarantee: makespan <= LB + T* <= 2 * max(LB, T*) <= 2 opt.
@@ -181,7 +208,7 @@ mod tests {
     fn infeasible_instance_rejected() {
         // 4 classes, 1 machine with 2 slots -> infeasible.
         let inst = instance_from_pairs(1, 2, &[(1, 0), (1, 1), (1, 2), (1, 3)]).unwrap();
-        assert!(splittable_two_approx(&inst).is_err());
+        assert!(approx(&inst).is_err());
     }
 
     #[test]
@@ -220,8 +247,8 @@ mod tests {
     fn deterministic_output() {
         let jobs: Vec<(u64, u32)> = (0..20).map(|i| (3 + i as u64, (i % 4) as u32)).collect();
         let inst = instance_from_pairs(4, 2, &jobs).unwrap();
-        let a = splittable_two_approx(&inst).unwrap();
-        let b = splittable_two_approx(&inst).unwrap();
+        let a = approx(&inst).unwrap();
+        let b = approx(&inst).unwrap();
         assert_eq!(a.schedule, b.schedule);
         assert_eq!(a.guess, b.guess);
     }

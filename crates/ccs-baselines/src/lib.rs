@@ -5,11 +5,11 @@
 //! simple heuristics below (all non-preemptive; a non-preemptive schedule is
 //! feasible for every placement model):
 //!
-//! * [`whole_class_round_robin`] — distribute whole classes round robin by
+//! * [`WholeClassRoundRobin`] — distribute whole classes round robin by
 //!   non-ascending load (no splitting at all),
-//! * [`whole_class_lpt`] — whole classes via LPT (least-loaded machine with a
+//! * [`WholeClassLpt`] — whole classes via LPT (least-loaded machine with a
 //!   free class slot),
-//! * [`greedy_first_fit`] — job-by-job greedy: longest job first onto the
+//! * [`GreedyFirstFit`] — job-by-job greedy: longest job first onto the
 //!   least-loaded machine that still has a slot for its class.
 //!
 //! All three can be arbitrarily bad compared to the optimum (a single huge
@@ -17,63 +17,117 @@
 //! close; the benches make this visible.
 //!
 //! The moldable extension model ships its practitioner heuristic here too:
-//! [`moldable_list`], a shape-selecting list scheduler (longest job first;
+//! [`MoldableList`], a shape-selecting list scheduler (longest job first;
 //! per job, the shape/machine-set pair minimising the completion estimate).
+//!
+//! Each heuristic is reached only through its [`Solver`] impl.  None carries
+//! a worst-case guarantee ([`Guarantee::Heuristic`]); their reports use the
+//! generic model lower bound of `ccs-core` so quality ratios remain
+//! comparable with the paper's algorithms.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod moldable;
-pub mod solver;
 
-pub use moldable::moldable_list;
-pub use solver::{GreedyFirstFit, MoldableList, WholeClassLpt, WholeClassRoundRobin};
+pub use moldable::MoldableList;
 
-use ccs_core::{CcsError, Instance, NonPreemptiveSchedule, Result, Schedule};
+use ccs_core::solver::{Guarantee, SolveReport, SolveStats, Solver};
+use ccs_core::{
+    bounds, CcsError, Instance, NonPreemptiveSchedule, Result, Schedule, ScheduleKind, SolveContext,
+};
 use std::collections::BTreeSet;
 
 /// Distributes whole classes over the machines via round robin in
 /// non-ascending load order.
-pub fn whole_class_round_robin(inst: &Instance) -> Result<NonPreemptiveSchedule> {
-    check_feasible(inst)?;
-    let m = inst.machines();
-    let mut classes: Vec<usize> = (0..inst.num_classes()).collect();
-    classes.sort_by_key(|&u| std::cmp::Reverse(inst.class_load(u)));
+#[derive(Debug, Clone, Copy, Default)]
+pub struct WholeClassRoundRobin;
 
-    let mut assignment = vec![0u64; inst.num_jobs()];
-    for (pos, &class) in classes.iter().enumerate() {
-        let machine = (pos as u64) % m;
-        for &job in inst.jobs_of_class(class) {
-            assignment[job] = machine;
-        }
+impl Solver for WholeClassRoundRobin {
+    type Schedule = NonPreemptiveSchedule;
+
+    fn name(&self) -> &'static str {
+        "baseline-round-robin"
     }
-    finish(inst, assignment)
+
+    fn kind(&self) -> ScheduleKind {
+        ScheduleKind::NonPreemptive
+    }
+
+    fn guarantee(&self) -> Guarantee {
+        Guarantee::Heuristic
+    }
+
+    fn solve_ctx(
+        &self,
+        inst: &Instance,
+        ctx: &SolveContext,
+    ) -> Result<SolveReport<NonPreemptiveSchedule>> {
+        ctx.checkpoint()?;
+        check_feasible(inst)?;
+        let m = inst.machines();
+        let mut classes: Vec<usize> = (0..inst.num_classes()).collect();
+        classes.sort_by_key(|&u| std::cmp::Reverse(inst.class_load(u)));
+
+        let mut assignment = vec![0u64; inst.num_jobs()];
+        for (pos, &class) in classes.iter().enumerate() {
+            let machine = (pos as u64) % m;
+            for &job in inst.jobs_of_class(class) {
+                assignment[job] = machine;
+            }
+        }
+        finish(inst, assignment)
+    }
 }
 
 /// Distributes whole classes via LPT: classes in non-ascending load order,
 /// each onto the least-loaded machine that still has a free class slot.
-pub fn whole_class_lpt(inst: &Instance) -> Result<NonPreemptiveSchedule> {
-    check_feasible(inst)?;
-    let m = inst.machines().min(inst.num_classes() as u64) as usize;
-    let slots = inst.class_slots() as usize;
-    let mut classes: Vec<usize> = (0..inst.num_classes()).collect();
-    classes.sort_by_key(|&u| std::cmp::Reverse(inst.class_load(u)));
+#[derive(Debug, Clone, Copy, Default)]
+pub struct WholeClassLpt;
 
-    let mut loads = vec![0u64; m];
-    let mut used_slots = vec![0usize; m];
-    let mut assignment = vec![0u64; inst.num_jobs()];
-    for &class in &classes {
-        let machine = (0..m)
-            .filter(|&i| used_slots[i] < slots)
-            .min_by_key(|&i| loads[i])
-            .ok_or_else(|| CcsError::internal("slot budget exhausted despite feasibility"))?;
-        loads[machine] += inst.class_load(class);
-        used_slots[machine] += 1;
-        for &job in inst.jobs_of_class(class) {
-            assignment[job] = machine as u64;
-        }
+impl Solver for WholeClassLpt {
+    type Schedule = NonPreemptiveSchedule;
+
+    fn name(&self) -> &'static str {
+        "baseline-lpt"
     }
-    finish(inst, assignment)
+
+    fn kind(&self) -> ScheduleKind {
+        ScheduleKind::NonPreemptive
+    }
+
+    fn guarantee(&self) -> Guarantee {
+        Guarantee::Heuristic
+    }
+
+    fn solve_ctx(
+        &self,
+        inst: &Instance,
+        ctx: &SolveContext,
+    ) -> Result<SolveReport<NonPreemptiveSchedule>> {
+        ctx.checkpoint()?;
+        check_feasible(inst)?;
+        let m = inst.machines().min(inst.num_classes() as u64) as usize;
+        let slots = inst.class_slots() as usize;
+        let mut classes: Vec<usize> = (0..inst.num_classes()).collect();
+        classes.sort_by_key(|&u| std::cmp::Reverse(inst.class_load(u)));
+
+        let mut loads = vec![0u64; m];
+        let mut used_slots = vec![0usize; m];
+        let mut assignment = vec![0u64; inst.num_jobs()];
+        for &class in &classes {
+            let machine = (0..m)
+                .filter(|&i| used_slots[i] < slots)
+                .min_by_key(|&i| loads[i])
+                .ok_or_else(|| CcsError::internal("slot budget exhausted despite feasibility"))?;
+            loads[machine] += inst.class_load(class);
+            used_slots[machine] += 1;
+            for &job in inst.jobs_of_class(class) {
+                assignment[job] = machine as u64;
+            }
+        }
+        finish(inst, assignment)
+    }
 }
 
 /// Job-by-job greedy: jobs in non-ascending processing time order, each onto
@@ -82,13 +136,37 @@ pub fn whole_class_lpt(inst: &Instance) -> Result<NonPreemptiveSchedule> {
 ///
 /// The job-level greedy can paint itself into a corner on feasible instances
 /// (all class slots taken by other classes before a class places its first
-/// job); in that case the whole-class LPT assignment is returned instead, so
+/// job); in that case the [`WholeClassLpt`] schedule is returned instead, so
 /// the baseline is total on every feasible instance.
-pub fn greedy_first_fit(inst: &Instance) -> Result<NonPreemptiveSchedule> {
-    check_feasible(inst)?;
-    match greedy_first_fit_strict(inst) {
-        Some(schedule) => finish(inst, schedule),
-        None => whole_class_lpt(inst),
+#[derive(Debug, Clone, Copy, Default)]
+pub struct GreedyFirstFit;
+
+impl Solver for GreedyFirstFit {
+    type Schedule = NonPreemptiveSchedule;
+
+    fn name(&self) -> &'static str {
+        "baseline-greedy"
+    }
+
+    fn kind(&self) -> ScheduleKind {
+        ScheduleKind::NonPreemptive
+    }
+
+    fn guarantee(&self) -> Guarantee {
+        Guarantee::Heuristic
+    }
+
+    fn solve_ctx(
+        &self,
+        inst: &Instance,
+        ctx: &SolveContext,
+    ) -> Result<SolveReport<NonPreemptiveSchedule>> {
+        ctx.checkpoint()?;
+        check_feasible(inst)?;
+        match greedy_first_fit_strict(inst) {
+            Some(assignment) => finish(inst, assignment),
+            None => WholeClassLpt.solve_ctx(inst, ctx),
+        }
     }
 }
 
@@ -121,10 +199,18 @@ fn check_feasible(inst: &Instance) -> Result<()> {
     }
 }
 
-fn finish(inst: &Instance, assignment: Vec<u64>) -> Result<NonPreemptiveSchedule> {
+/// Validates the assignment and reports it against the generic
+/// non-preemptive lower bound.
+fn finish(inst: &Instance, assignment: Vec<u64>) -> Result<SolveReport<NonPreemptiveSchedule>> {
     let schedule = NonPreemptiveSchedule::new(assignment);
     schedule.validate(inst)?;
-    Ok(schedule)
+    let lower_bound = bounds::lower_bound(inst, ScheduleKind::NonPreemptive);
+    Ok(SolveReport::new(
+        inst,
+        schedule,
+        lower_bound,
+        SolveStats::default(),
+    ))
 }
 
 #[cfg(test)]
@@ -132,6 +218,18 @@ mod tests {
     use super::*;
     use ccs_core::instance::instance_from_pairs;
     use ccs_core::Rational;
+
+    fn round_robin(inst: &Instance) -> Result<NonPreemptiveSchedule> {
+        Ok(WholeClassRoundRobin.solve(inst)?.schedule)
+    }
+
+    fn lpt(inst: &Instance) -> Result<NonPreemptiveSchedule> {
+        Ok(WholeClassLpt.solve(inst)?.schedule)
+    }
+
+    fn greedy(inst: &Instance) -> Result<NonPreemptiveSchedule> {
+        Ok(GreedyFirstFit.solve(inst)?.schedule)
+    }
 
     fn sample() -> Instance {
         instance_from_pairs(
@@ -146,9 +244,9 @@ mod tests {
     fn all_baselines_produce_feasible_schedules() {
         let inst = sample();
         for schedule in [
-            whole_class_round_robin(&inst).unwrap(),
-            whole_class_lpt(&inst).unwrap(),
-            greedy_first_fit(&inst).unwrap(),
+            round_robin(&inst).unwrap(),
+            lpt(&inst).unwrap(),
+            greedy(&inst).unwrap(),
         ] {
             schedule.validate(&inst).unwrap();
             assert!(schedule.makespan(&inst) >= inst.average_load());
@@ -158,8 +256,8 @@ mod tests {
     #[test]
     fn lpt_never_worse_than_round_robin_on_sample() {
         let inst = sample();
-        let rr = whole_class_round_robin(&inst).unwrap().makespan_int(&inst);
-        let lpt = whole_class_lpt(&inst).unwrap().makespan_int(&inst);
+        let rr = round_robin(&inst).unwrap().makespan_int(&inst);
+        let lpt = lpt(&inst).unwrap().makespan_int(&inst);
         assert!(lpt <= rr);
     }
 
@@ -169,33 +267,68 @@ mod tests {
         // machine, makespan ~ P_0 even though many machines are idle.
         let inst =
             instance_from_pairs(4, 2, &[(25, 0), (25, 0), (25, 0), (25, 0), (1, 1)]).unwrap();
-        for schedule in [
-            whole_class_round_robin(&inst).unwrap(),
-            whole_class_lpt(&inst).unwrap(),
-        ] {
+        for schedule in [round_robin(&inst).unwrap(), lpt(&inst).unwrap()] {
             assert_eq!(schedule.makespan_int(&inst), 100);
         }
         // The job-level greedy is allowed to split the class across machines.
-        let greedy = greedy_first_fit(&inst).unwrap();
+        let greedy = greedy(&inst).unwrap();
         assert!(greedy.makespan_int(&inst) <= 100);
     }
 
     #[test]
     fn infeasible_instances_rejected() {
         let inst = instance_from_pairs(1, 1, &[(1, 0), (1, 1)]).unwrap();
-        assert!(whole_class_round_robin(&inst).is_err());
-        assert!(whole_class_lpt(&inst).is_err());
-        assert!(greedy_first_fit(&inst).is_err());
+        assert!(round_robin(&inst).is_err());
+        assert!(lpt(&inst).is_err());
+        assert!(greedy(&inst).is_err());
     }
 
     #[test]
     fn single_class_single_machine() {
         let inst = instance_from_pairs(1, 1, &[(2, 0), (3, 0)]).unwrap();
-        assert_eq!(whole_class_lpt(&inst).unwrap().makespan_int(&inst), 5);
-        assert_eq!(greedy_first_fit(&inst).unwrap().makespan_int(&inst), 5);
+        assert_eq!(lpt(&inst).unwrap().makespan_int(&inst), 5);
+        assert_eq!(greedy(&inst).unwrap().makespan_int(&inst), 5);
         assert_eq!(
-            whole_class_round_robin(&inst).unwrap().makespan(&inst),
+            round_robin(&inst).unwrap().makespan(&inst),
             Rational::from_int(5)
         );
+    }
+
+    #[test]
+    fn baseline_solvers_produce_valid_reports() {
+        let inst = instance_from_pairs(3, 2, &[(7, 0), (8, 0), (9, 1), (5, 2), (4, 3)]).unwrap();
+        fn check(inst: &Instance, solver: &impl Solver<Schedule = NonPreemptiveSchedule>) {
+            let report = solver.solve(inst).unwrap();
+            report.validate(inst).unwrap();
+            assert_eq!(report.schedule.kind(), ScheduleKind::NonPreemptive);
+            assert!(report.makespan >= report.lower_bound);
+            assert_eq!(solver.guarantee().factor(), None);
+        }
+        check(&inst, &WholeClassRoundRobin);
+        check(&inst, &WholeClassLpt);
+        check(&inst, &GreedyFirstFit);
+    }
+
+    #[test]
+    fn infeasible_instances_error_through_the_trait() {
+        let inst = instance_from_pairs(1, 1, &[(1, 0), (1, 1)]).unwrap();
+        assert!(WholeClassLpt.solve(&inst).is_err());
+        assert!(MoldableList.solve(&inst).is_err());
+    }
+
+    #[test]
+    fn moldable_solver_produces_valid_reports() {
+        use ccs_core::instance::InstanceBuilder;
+        let inst = InstanceBuilder::new(3, 2)
+            .job_shaped(9, 0, &[(1, 9), (3, 4)])
+            .job(5, 1)
+            .job(4, 1)
+            .build()
+            .unwrap();
+        let report = MoldableList.solve(&inst).unwrap();
+        report.validate(&inst).unwrap();
+        assert_eq!(report.schedule.kind(), ScheduleKind::Moldable);
+        assert!(report.makespan >= report.lower_bound);
+        assert_eq!(MoldableList.guarantee().factor(), None);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Moldable jobs offer a menu of `(machines, time)` shapes (see
 //! `Instance::shape_menu`); the scheduler must pick one shape per job *and*
-//! place its pieces.  [`moldable_list`] is the natural practitioner
+//! place its pieces.  [`MoldableList`] is the natural practitioner
 //! heuristic: jobs in non-ascending sequential-time order, and for each job
 //! the `(shape, machine set)` pair minimising the estimated completion time
 //! `max-load-of-chosen-machines + time`, subject to the class-slot
@@ -21,20 +21,58 @@
 //! shapes occupy — and skips shapes wider than [`WIDTH_CAP`] (a sequential
 //! alternative always exists, so nothing becomes unschedulable).
 
-use ccs_core::{CcsError, Instance, MoldableSchedule, Result, Schedule};
+use ccs_core::solver::{Guarantee, SolveReport, SolveStats, Solver};
+use ccs_core::{
+    bounds, CcsError, Instance, MoldableSchedule, Result, Schedule, ScheduleKind, SolveContext,
+};
 use std::collections::BTreeSet;
 
 /// Shapes wider than this many machines are ignored by the heuristic; the
 /// mandatory sequential alternative keeps every job schedulable.
 pub const WIDTH_CAP: u64 = 32;
 
-/// Runs the shape-selecting list scheduler; see the module docs.
+/// The shape-selecting list scheduler; see the module docs.
 ///
-/// # Errors
-/// [`CcsError::Infeasible`] when the instance has more classes than class
-/// slots (no schedule exists in any model).
-pub fn moldable_list(inst: &Instance) -> Result<MoldableSchedule> {
-    crate::check_feasible(inst)?;
+/// Fails with [`CcsError::Infeasible`] when the instance has more classes
+/// than class slots (no schedule exists in any model).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MoldableList;
+
+impl Solver for MoldableList {
+    type Schedule = MoldableSchedule;
+
+    fn name(&self) -> &'static str {
+        "moldable-list"
+    }
+
+    fn kind(&self) -> ScheduleKind {
+        ScheduleKind::Moldable
+    }
+
+    fn guarantee(&self) -> Guarantee {
+        Guarantee::Heuristic
+    }
+
+    fn solve_ctx(
+        &self,
+        inst: &Instance,
+        ctx: &SolveContext,
+    ) -> Result<SolveReport<MoldableSchedule>> {
+        ctx.checkpoint()?;
+        crate::check_feasible(inst)?;
+        let schedule = list_schedule(inst)?;
+        let lower_bound = bounds::lower_bound(inst, ScheduleKind::Moldable);
+        Ok(SolveReport::new(
+            inst,
+            schedule,
+            lower_bound,
+            SolveStats::default(),
+        ))
+    }
+}
+
+/// The list schedule of a feasible instance.
+fn list_schedule(inst: &Instance) -> Result<MoldableSchedule> {
     let slots = inst.class_slots();
     // Effective machine park: enough machines for every class to get a slot,
     // and for the capped widest shape of every job to run simultaneously.
@@ -113,7 +151,7 @@ fn fastest_sequential(inst: &Instance, job: usize) -> (usize, u64) {
 }
 
 /// Whole-class LPT with every job in its fastest sequential shape: the
-/// moldable analogue of [`crate::whole_class_lpt`], always feasible.
+/// moldable analogue of [`crate::WholeClassLpt`], always feasible.
 fn sequential_fallback(inst: &Instance) -> Result<MoldableSchedule> {
     let slots = inst.class_slots() as usize;
     let m = inst.machines().min(inst.num_classes().max(1) as u64).max(1) as usize;
@@ -151,7 +189,11 @@ fn finish(inst: &Instance, choices: Vec<(usize, Vec<u64>)>) -> Result<MoldableSc
 mod tests {
     use super::*;
     use ccs_core::instance::{instance_from_pairs, InstanceBuilder};
-    use ccs_core::{bounds, Rational, ScheduleKind};
+    use ccs_core::Rational;
+
+    fn list_solve(inst: &Instance) -> Result<MoldableSchedule> {
+        Ok(MoldableList.solve(inst)?.schedule)
+    }
 
     #[test]
     fn wide_shapes_beat_the_sequential_schedule() {
@@ -160,7 +202,7 @@ mod tests {
             .job_shaped(9, 0, &[(1, 9), (3, 2)])
             .build()
             .unwrap();
-        let s = moldable_list(&inst).unwrap();
+        let s = list_solve(&inst).unwrap();
         s.validate(&inst).unwrap();
         assert_eq!(s.makespan(&inst), Rational::from(2u64));
         assert_eq!(s.choices()[0].1.len(), 3);
@@ -169,7 +211,7 @@ mod tests {
     #[test]
     fn unshaped_instances_behave_like_a_sequential_list_schedule() {
         let inst = instance_from_pairs(3, 2, &[(7, 0), (8, 0), (9, 1), (5, 1), (4, 2)]).unwrap();
-        let s = moldable_list(&inst).unwrap();
+        let s = list_solve(&inst).unwrap();
         s.validate(&inst).unwrap();
         let lb = bounds::lower_bound(&inst, ScheduleKind::Moldable);
         assert!(s.makespan(&inst) >= lb);
@@ -189,7 +231,7 @@ mod tests {
             .job(5, 1)
             .build()
             .unwrap();
-        let s = moldable_list(&inst).unwrap();
+        let s = list_solve(&inst).unwrap();
         s.validate(&inst).unwrap();
     }
 
@@ -201,7 +243,7 @@ mod tests {
             .job(3, 1)
             .build()
             .unwrap();
-        let s = moldable_list(&inst).unwrap();
+        let s = list_solve(&inst).unwrap();
         s.validate(&inst).unwrap();
         assert!(s.makespan(&inst) <= Rational::from(9u64));
     }
@@ -213,7 +255,7 @@ mod tests {
             .job_shaped(100, 0, &[(1, 100), (wide, 1)])
             .build()
             .unwrap();
-        let s = moldable_list(&inst).unwrap();
+        let s = list_solve(&inst).unwrap();
         s.validate(&inst).unwrap();
         // The wide shape was skipped; the sequential one used instead.
         assert_eq!(s.makespan(&inst), Rational::from(100u64));
@@ -222,6 +264,6 @@ mod tests {
     #[test]
     fn infeasible_instances_rejected() {
         let inst = instance_from_pairs(1, 1, &[(1, 0), (1, 1)]).unwrap();
-        assert!(moldable_list(&inst).is_err());
+        assert!(list_solve(&inst).is_err());
     }
 }

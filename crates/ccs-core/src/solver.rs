@@ -1,17 +1,20 @@
 //! The unified solving surface of the workspace.
 //!
 //! Every algorithm crate (`ccs-approx`, `ccs-ptas`, `ccs-exact`,
-//! `ccs-baselines`) exposes its algorithms through the [`Solver`] trait
-//! defined here, returning a [`SolveReport`].  The trait subsumes the
-//! historical per-crate result types (`ApproxResult`, `PtasResult`, bare
-//! makespans from the exact solvers) and is what the `ccs-engine` dispatch
-//! layer builds its registry, portfolio policy and batch executor on.
+//! `ccs-baselines`) exposes each algorithm only as a unit or parameter
+//! struct implementing the [`Solver`] trait defined here, and every run
+//! returns a [`SolveReport`]: schedule, makespan, the best lower bound the
+//! algorithm knows and its work counters.  No free function runs a whole
+//! algorithm, and the crates' internal result types (which also carry the
+//! accepted makespan guess of the constant-factor algorithms and the
+//! schemes) stay crate-private.  The `ccs-engine` dispatch layer builds its
+//! registry, portfolio policy and batch executor on this trait.
 
 use crate::ctx::SolveContext;
 use crate::error::Result;
 use crate::instance::Instance;
 use crate::rational::Rational;
-use crate::schedule::{Schedule, ScheduleKind};
+use crate::schedule::{AnySchedule, Schedule, ScheduleKind};
 
 /// The a-priori quality guarantee of a solver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,12 +148,18 @@ impl<S: Schedule> SolveReport<S> {
     }
 }
 
-/// A scheduling algorithm exposed through the unified solving surface.
+/// A scheduling algorithm: the one public entry point of every algorithm in
+/// the workspace.
 ///
-/// `S` is the schedule representation of the solver's placement model.  All
-/// solvers are stateless or immutable after construction, `Send + Sync`, and
-/// therefore freely shareable across the batch executor's worker threads.
-pub trait Solver<S: Schedule>: Send + Sync {
+/// All solvers are stateless or immutable after construction, `Send + Sync`,
+/// and therefore freely shareable across the batch executor's worker threads.
+/// An implementation provides [`Solver::solve_ctx`]; [`Solver::solve`] is
+/// its unbounded form.
+pub trait Solver: Send + Sync {
+    /// The schedule representation of the solver's placement model (no
+    /// solver serves two models).
+    type Schedule: Schedule + Into<AnySchedule>;
+
     /// Stable identifier used by the registry and the benchmark harness
     /// (e.g. `"approx-splittable-2"`).
     fn name(&self) -> &'static str;
@@ -167,20 +176,18 @@ pub trait Solver<S: Schedule>: Send + Sync {
         SolverCost::Polynomial
     }
 
-    /// Runs the algorithm on `inst`.
-    fn solve(&self, inst: &Instance) -> Result<SolveReport<S>>;
-
-    /// Runs the algorithm under an execution context (deadline, cooperative
-    /// cancellation, stats sink).
+    /// Runs the algorithm on `inst` under an execution context (deadline,
+    /// cooperative cancellation, stats sink, warm hint).
     ///
-    /// The default implementation checks the context once up front and then
-    /// runs [`Solver::solve`] to completion — sufficient for fast polynomial
-    /// solvers.  Solvers with long search loops override this and thread the
-    /// context into their hot loops so runs actually stop at the deadline
-    /// (all algorithm crates of this workspace do).
-    fn solve_ctx(&self, inst: &Instance, ctx: &SolveContext) -> Result<SolveReport<S>> {
-        ctx.checkpoint()?;
-        self.solve(inst)
+    /// Every implementation checks the context on entry, so an expired
+    /// budget never starts a run; solvers with long search loops also poll
+    /// it inside those loops, so runs stop at the deadline.
+    fn solve_ctx(&self, inst: &Instance, ctx: &SolveContext)
+        -> Result<SolveReport<Self::Schedule>>;
+
+    /// Runs the algorithm on `inst` to completion.
+    fn solve(&self, inst: &Instance) -> Result<SolveReport<Self::Schedule>> {
+        self.solve_ctx(inst, &SolveContext::unbounded())
     }
 }
 
@@ -192,7 +199,9 @@ mod tests {
 
     struct OneMachine;
 
-    impl Solver<NonPreemptiveSchedule> for OneMachine {
+    impl Solver for OneMachine {
+        type Schedule = NonPreemptiveSchedule;
+
         fn name(&self) -> &'static str {
             "test-one-machine"
         }
@@ -202,7 +211,12 @@ mod tests {
         fn guarantee(&self) -> Guarantee {
             Guarantee::Heuristic
         }
-        fn solve(&self, inst: &Instance) -> Result<SolveReport<NonPreemptiveSchedule>> {
+        fn solve_ctx(
+            &self,
+            inst: &Instance,
+            ctx: &SolveContext,
+        ) -> Result<SolveReport<NonPreemptiveSchedule>> {
+            ctx.checkpoint()?;
             let schedule = NonPreemptiveSchedule::new(vec![0; inst.num_jobs()]);
             schedule.validate(inst)?;
             Ok(SolveReport::new(

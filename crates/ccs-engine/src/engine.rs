@@ -500,7 +500,9 @@ mod tests {
     /// run is cancelled.
     struct Parked;
 
-    impl ccs_core::Solver<ccs_core::NonPreemptiveSchedule> for Parked {
+    impl ccs_core::Solver for Parked {
+        type Schedule = ccs_core::NonPreemptiveSchedule;
+
         fn name(&self) -> &'static str {
             "exact-nonpreemptive"
         }
@@ -509,9 +511,6 @@ mod tests {
         }
         fn guarantee(&self) -> Guarantee {
             Guarantee::Exact
-        }
-        fn solve(&self, _: &Instance) -> Result<SolveReport<ccs_core::NonPreemptiveSchedule>> {
-            unreachable!("the engine always runs solvers under a context")
         }
         fn solve_ctx(
             &self,

@@ -1,11 +1,12 @@
 //! # ccs-engine — the unified dispatch layer of the CCS workspace
 //!
 //! The four algorithm crates (`ccs-approx`, `ccs-ptas`, `ccs-exact`,
-//! `ccs-baselines`) each implement the [`ccs_core::Solver`] trait; this
-//! crate is the seam that turns them into one service-grade system:
+//! `ccs-baselines`) expose every algorithm only as a [`ccs_core::Solver`]
+//! impl; this crate is the seam that turns them into one service-grade
+//! system:
 //!
 //! * [`SolverRegistry`] — a named, model-erased collection of every solver
-//!   ([`SolverRegistry::with_defaults`] registers all twelve),
+//!   ([`SolverRegistry::with_defaults`] registers all fourteen),
 //! * [`SolveRequest`] / [`Accuracy`] — what a caller wants: a placement
 //!   model, an accuracy budget (`Auto`, `Epsilon(ε)`, `Exact`) and optional
 //!   service controls (wall-clock budget, result validation),
@@ -67,6 +68,6 @@ pub use connection::{serve, Connection, Service, MAX_FRAME_BYTES};
 pub use engine::{Engine, Solution};
 pub use netd::{NetServer, NetdConfig, NetdHandle};
 pub use policy::{Accuracy, ResolvedAccuracy, SolveRequest, WarmStart};
-pub use registry::{erase, ErasedSolver, SolverMeta, SolverRegistry};
+pub use registry::{ErasedSolver, SolverMeta, SolverRegistry};
 pub use session::{handle_session_frame, SessionEvent};
 pub use worker::SolveHandle;

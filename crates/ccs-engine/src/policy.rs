@@ -11,7 +11,7 @@
 //! * [`Accuracy::Auto`] — exact for tiny instances (where the exponential
 //!   solvers are instant), the constant-factor approximation otherwise.
 
-use crate::registry::{erase, ErasedSolver};
+use crate::registry::ErasedSolver;
 use ccs_core::{CcsError, Fingerprint, Instance, ModelSpec, Rational, Result, ScheduleKind};
 use ccs_ptas::PtasParams;
 use std::sync::Arc;
@@ -159,17 +159,20 @@ pub(crate) fn validate_epsilon(epsilon: f64) -> Result<()> {
 /// Rows are looked up through the model layer ([`ModelSpec`]) by stable wire
 /// id, so adding a model means adding one row in [`POLICIES`] (plus
 /// registering its solvers) — [`route`] itself never matches on
-/// [`ScheduleKind`].
+/// [`ScheduleKind`].  Each tier names a default solver value: routing takes
+/// its [`ErasedSolver::name`] (and the constant-factor tier's
+/// [`ErasedSolver::guarantee`]) and looks the name up in the engine's
+/// registry, so overrides made with `SolverRegistry::replace` still apply.
 pub(crate) struct ModelPolicy {
-    /// Registry name of the exact solver.
-    pub(crate) exact: &'static str,
-    /// Constant-factor tier: registry name and guaranteed factor.
-    pub(crate) approx: Option<(&'static str, Rational)>,
+    /// The exact solver.
+    pub(crate) exact: &'static dyn ErasedSolver,
+    /// Constant-factor tier.
+    pub(crate) approx: Option<&'static dyn ErasedSolver>,
     /// Accuracy-parameterised tier: constructs the model's PTAS.
     ptas: Option<fn(PtasParams) -> Arc<dyn ErasedSolver>>,
     /// Guarantee-free tier `Auto` falls back to on models without a
     /// constant-factor algorithm.
-    pub(crate) heuristic: Option<&'static str>,
+    pub(crate) heuristic: Option<&'static dyn ErasedSolver>,
     /// Whether `Auto` may send this instance to the exact solver.
     tiny: fn(&Instance) -> bool,
 }
@@ -179,31 +182,31 @@ type PolicyRow = (&'static str, fn() -> ModelPolicy);
 
 const POLICIES: &[PolicyRow] = &[
     ("splittable", || ModelPolicy {
-        exact: "exact-splittable",
-        approx: Some(("approx-splittable-2", Rational::from_int(2))),
-        ptas: Some(|params| erase(ccs_ptas::SplittablePtas::new(params))),
+        exact: &ccs_exact::ExactSplittable,
+        approx: Some(&ccs_approx::SplittableTwoApprox),
+        ptas: Some(|params| Arc::new(ccs_ptas::SplittablePtas::new(params))),
         heuristic: None,
         tiny: tiny_fractional,
     }),
     ("preemptive", || ModelPolicy {
-        exact: "exact-preemptive",
-        approx: Some(("approx-preemptive-2", Rational::from_int(2))),
-        ptas: Some(|params| erase(ccs_ptas::PreemptivePtas::new(params))),
+        exact: &ccs_exact::ExactPreemptive,
+        approx: Some(&ccs_approx::PreemptiveTwoApprox),
+        ptas: Some(|params| Arc::new(ccs_ptas::PreemptivePtas::new(params))),
         heuristic: None,
         tiny: tiny_fractional,
     }),
     ("non-preemptive", || ModelPolicy {
-        exact: "exact-nonpreemptive",
-        approx: Some(("approx-nonpreemptive-7/3", Rational::new(7, 3))),
-        ptas: Some(|params| erase(ccs_ptas::NonpreemptivePtas::new(params))),
+        exact: &ccs_exact::ExactNonPreemptive,
+        approx: Some(&ccs_approx::Nonpreemptive73Approx),
+        ptas: Some(|params| Arc::new(ccs_ptas::NonpreemptivePtas::new(params))),
         heuristic: None,
         tiny: tiny_nonpreemptive,
     }),
     ("moldable", || ModelPolicy {
-        exact: "exact-moldable",
+        exact: &ccs_exact::ExactMoldable,
         approx: None,
         ptas: None,
-        heuristic: Some("moldable-list"),
+        heuristic: Some(&ccs_baselines::MoldableList),
         tiny: tiny_moldable,
     }),
 ];
@@ -222,7 +225,7 @@ pub(crate) fn policy_of(model: ScheduleKind) -> ModelPolicy {
 /// Registry name of the exact solver for a model.
 #[cfg(test)]
 pub(crate) fn exact_solver_name(model: ScheduleKind) -> &'static str {
-    policy_of(model).exact
+    policy_of(model).exact.name()
 }
 
 /// Job-count ceiling of the splittable/preemptive tiny branch: their exact
@@ -340,29 +343,29 @@ pub(crate) fn route(inst: &Instance, req: &SolveRequest) -> Result<Resolution> {
     let policy = policy_of(req.model);
     match req.accuracy {
         Accuracy::Exact => Ok(Resolution {
-            routed: Routed::Registered(policy.exact),
+            routed: Routed::Registered(policy.exact.name()),
             accuracy: ResolvedAccuracy::Exact,
         }),
         Accuracy::Auto => {
             if (policy.tiny)(inst) {
                 Ok(Resolution {
-                    routed: Routed::Registered(policy.exact),
+                    routed: Routed::Registered(policy.exact.name()),
                     accuracy: ResolvedAccuracy::Exact,
                 })
-            } else if let Some((name, _)) = policy.approx {
+            } else if let Some(approx) = policy.approx {
                 Ok(Resolution {
-                    routed: Routed::Registered(name),
+                    routed: Routed::Registered(approx.name()),
                     accuracy: ResolvedAccuracy::ConstantFactor,
                 })
-            } else if let Some(name) = policy.heuristic {
+            } else if let Some(heuristic) = policy.heuristic {
                 Ok(Resolution {
-                    routed: Routed::Registered(name),
+                    routed: Routed::Registered(heuristic.name()),
                     accuracy: ResolvedAccuracy::Heuristic,
                 })
             } else {
                 // A model with neither tier: exact is all there is.
                 Ok(Resolution {
-                    routed: Routed::Registered(policy.exact),
+                    routed: Routed::Registered(policy.exact.name()),
                     accuracy: ResolvedAccuracy::Exact,
                 })
             }
@@ -373,10 +376,11 @@ pub(crate) fn route(inst: &Instance, req: &SolveRequest) -> Result<Resolution> {
             // the wire protocol.
             validate_epsilon(eps)?;
             // The constant-factor algorithm already meets loose budgets.
-            if let Some((name, factor)) = policy.approx {
-                if epsilon_meets_factor(eps, factor) {
+            if let Some(approx) = policy.approx {
+                let factor = approx.guarantee().factor();
+                if factor.is_some_and(|factor| epsilon_meets_factor(eps, factor)) {
                     return Ok(Resolution {
-                        routed: Routed::Registered(name),
+                        routed: Routed::Registered(approx.name()),
                         accuracy: ResolvedAccuracy::ConstantFactor,
                     });
                 }
@@ -427,14 +431,14 @@ mod tests {
 
     /// Constant-factor tier name of a paper model (all three have one).
     fn approx_name(kind: ScheduleKind) -> &'static str {
-        policy_of(kind).approx.expect("paper model").0
+        policy_of(kind).approx.expect("paper model").name()
     }
 
     #[test]
     fn every_model_has_a_routing_row() {
         for spec in ModelSpec::all() {
             let policy = policy_of(spec.kind);
-            assert!(!policy.exact.is_empty(), "{}", spec.id);
+            assert!(!policy.exact.name().is_empty(), "{}", spec.id);
             assert!(
                 policy.approx.is_some() || policy.heuristic.is_some(),
                 "model '{}' has no non-exact tier for Auto",
@@ -545,7 +549,12 @@ mod tests {
         // Just below a threshold still requires the PTAS.
         for spec in ModelSpec::paper() {
             let kind = spec.kind;
-            let factor = policy_of(kind).approx.unwrap().1;
+            let factor = policy_of(kind)
+                .approx
+                .unwrap()
+                .guarantee()
+                .factor()
+                .unwrap();
             let threshold = (factor - Rational::ONE).to_f64();
             let below = threshold * (1.0 - 1e-12);
             assert_eq!(

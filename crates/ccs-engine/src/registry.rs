@@ -1,17 +1,16 @@
 //! The solver registry: a model-erased view over every [`Solver`] in the
 //! workspace.
 //!
-//! [`Solver`] is generic over its schedule representation, so solvers of
-//! different placement models cannot share a `dyn` object directly.  The
-//! registry erases the model by converting every report's schedule into
-//! [`AnySchedule`] ([`ErasedSolver`]), which lets one collection hold the
-//! constant-factor algorithms, the PTASes, the exact solvers and the
-//! baselines side by side — the foundation of the portfolio policy, the
-//! batch executor and the benchmark harness.
+//! [`Solver`] carries its schedule representation as an associated type, so
+//! solvers of different placement models cannot share a `dyn Solver`
+//! directly.  [`ErasedSolver`], implemented for every [`Solver`], erases the
+//! model by converting each report's schedule into [`AnySchedule`], which
+//! lets one collection hold the constant-factor algorithms, the PTASes, the
+//! exact solvers and the baselines side by side — the foundation of the
+//! portfolio policy, the batch executor and the benchmark harness.
 
 use ccs_core::solver::{Guarantee, SolveReport, Solver, SolverCost};
-use ccs_core::{AnySchedule, CcsError, Instance, Result, Schedule, ScheduleKind, SolveContext};
-use std::marker::PhantomData;
+use ccs_core::{AnySchedule, CcsError, Instance, Result, ScheduleKind, SolveContext};
 use std::sync::Arc;
 
 /// Object-safe, model-erased view of a [`Solver`].
@@ -28,9 +27,6 @@ pub trait ErasedSolver: Send + Sync {
     /// The solver's asymptotic cost regime (see [`Solver::cost`]).
     fn cost(&self) -> SolverCost;
 
-    /// Runs the solver, wrapping the schedule into [`AnySchedule`].
-    fn solve_any(&self, inst: &Instance) -> Result<SolveReport<AnySchedule>>;
-
     /// Runs the solver under an execution context (see
     /// [`Solver::solve_ctx`]), wrapping the schedule into [`AnySchedule`].
     fn solve_any_ctx(
@@ -38,36 +34,29 @@ pub trait ErasedSolver: Send + Sync {
         inst: &Instance,
         ctx: &SolveContext,
     ) -> Result<SolveReport<AnySchedule>>;
+
+    /// Runs the solver to completion, wrapping the schedule into
+    /// [`AnySchedule`].
+    fn solve_any(&self, inst: &Instance) -> Result<SolveReport<AnySchedule>> {
+        self.solve_any_ctx(inst, &SolveContext::unbounded())
+    }
 }
 
-struct Erase<S, T> {
-    solver: T,
-    _model: PhantomData<fn() -> S>,
-}
-
-impl<S, T> ErasedSolver for Erase<S, T>
-where
-    S: Schedule + Into<AnySchedule>,
-    T: Solver<S>,
-{
+impl<T: Solver> ErasedSolver for T {
     fn name(&self) -> &'static str {
-        self.solver.name()
+        Solver::name(self)
     }
 
     fn kind(&self) -> ScheduleKind {
-        self.solver.kind()
+        Solver::kind(self)
     }
 
     fn guarantee(&self) -> Guarantee {
-        self.solver.guarantee()
+        Solver::guarantee(self)
     }
 
     fn cost(&self) -> SolverCost {
-        self.solver.cost()
-    }
-
-    fn solve_any(&self, inst: &Instance) -> Result<SolveReport<AnySchedule>> {
-        Ok(self.solver.solve(inst)?.map_schedule(Into::into))
+        Solver::cost(self)
     }
 
     fn solve_any_ctx(
@@ -75,20 +64,8 @@ where
         inst: &Instance,
         ctx: &SolveContext,
     ) -> Result<SolveReport<AnySchedule>> {
-        Ok(self.solver.solve_ctx(inst, ctx)?.map_schedule(Into::into))
+        Ok(self.solve_ctx(inst, ctx)?.map_schedule(Into::into))
     }
-}
-
-/// Wraps a typed [`Solver`] into a shareable model-erased handle.
-pub fn erase<S, T>(solver: T) -> Arc<dyn ErasedSolver>
-where
-    S: Schedule + Into<AnySchedule> + 'static,
-    T: Solver<S> + 'static,
-{
-    Arc::new(Erase {
-        solver,
-        _model: PhantomData,
-    })
 }
 
 /// Descriptive metadata of a registered solver — everything a measurement
@@ -182,48 +159,29 @@ impl SolverRegistry {
         registry
     }
 
-    /// Registers a typed solver.
+    /// Registers a solver.
     ///
     /// # Errors
     /// [`CcsError::InvalidParameter`] when a solver with the same name is
     /// already registered (nothing is changed in that case); use
     /// [`SolverRegistry::replace`] to overwrite intentionally.
-    pub fn register<S, T>(&mut self, solver: T) -> Result<()>
-    where
-        S: Schedule + Into<AnySchedule> + 'static,
-        T: Solver<S> + 'static,
-    {
-        self.register_erased(erase(solver))
-    }
-
-    /// Registers an already-erased solver (same duplicate-name guard as
-    /// [`SolverRegistry::register`]).
-    pub fn register_erased(&mut self, solver: Arc<dyn ErasedSolver>) -> Result<()> {
+    pub fn register(&mut self, solver: impl ErasedSolver + 'static) -> Result<()> {
         if self.get(solver.name()).is_some() {
             return Err(CcsError::invalid_parameter(format!(
                 "a solver named '{}' is already registered",
                 solver.name()
             )));
         }
-        self.solvers.push(solver);
+        self.solvers.push(Arc::new(solver));
         Ok(())
     }
 
-    /// Registers a typed solver, replacing any same-named entry (the
-    /// pre-guard behaviour of `register`, for intentional overrides such as
-    /// swapping a default PTAS for a differently parameterised one).
-    pub fn replace<S, T>(&mut self, solver: T)
-    where
-        S: Schedule + Into<AnySchedule> + 'static,
-        T: Solver<S> + 'static,
-    {
-        self.replace_erased(erase(solver));
-    }
-
-    /// Registers an already-erased solver, replacing any same-named entry.
-    pub fn replace_erased(&mut self, solver: Arc<dyn ErasedSolver>) {
+    /// Registers a solver, replacing any same-named entry (for intentional
+    /// overrides such as swapping a default PTAS for a differently
+    /// parameterised one).
+    pub fn replace(&mut self, solver: impl ErasedSolver + 'static) {
         self.solvers.retain(|s| s.name() != solver.name());
-        self.solvers.push(solver);
+        self.solvers.push(Arc::new(solver));
     }
 
     /// Looks a solver up by its [`ErasedSolver::name`].
@@ -273,6 +231,7 @@ impl SolverRegistry {
 mod tests {
     use super::*;
     use ccs_core::instance::instance_from_pairs;
+    use ccs_core::Schedule;
 
     #[test]
     fn defaults_cover_all_models_with_unique_names() {
@@ -336,7 +295,7 @@ mod tests {
 
     #[test]
     fn erased_solver_roundtrip() {
-        let solver = erase(ccs_approx::Nonpreemptive73Approx);
+        let solver: Arc<dyn ErasedSolver> = Arc::new(ccs_approx::Nonpreemptive73Approx);
         let inst = instance_from_pairs(2, 1, &[(4, 0), (3, 1)]).unwrap();
         let report = solver.solve_any(&inst).unwrap();
         assert!(report.schedule.as_nonpreemptive().is_some());

@@ -73,10 +73,6 @@ fn counting_registry() -> (SolverRegistry, Arc<AtomicUsize>) {
         fn cost(&self) -> SolverCost {
             self.inner.cost()
         }
-        fn solve_any(&self, inst: &Instance) -> Result<SolveReport<AnySchedule>> {
-            self.runs.fetch_add(1, Ordering::SeqCst);
-            self.inner.solve_any(inst)
-        }
         fn solve_any_ctx(
             &self,
             inst: &Instance,
@@ -91,10 +87,10 @@ fn counting_registry() -> (SolverRegistry, Arc<AtomicUsize>) {
     let mut registry = SolverRegistry::empty();
     for solver in SolverRegistry::with_defaults().iter() {
         registry
-            .register_erased(Arc::new(Counting {
+            .register(Counting {
                 inner: Arc::clone(solver),
                 runs: Arc::clone(&runs),
-            }))
+            })
             .unwrap();
     }
     (registry, runs)

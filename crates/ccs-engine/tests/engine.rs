@@ -1,7 +1,7 @@
 //! Integration tests for the dispatch layer: portfolio routing, the
 //! cross-solver guarantee property, and batch/sequential equivalence.
 
-use ccs_core::{Rational, Schedule, ScheduleKind};
+use ccs_core::{Rational, Schedule, ScheduleKind, Solver};
 use ccs_engine::{Engine, SolveRequest};
 use ccs_gen::GenParams;
 
@@ -51,17 +51,17 @@ fn every_registered_solver_validates_and_respects_its_guarantee() {
 
 fn exact_optimum(inst: &ccs_core::Instance, kind: ScheduleKind) -> Option<Rational> {
     match kind {
-        ScheduleKind::Splittable => ccs_exact_optimum_splittable(inst),
+        ScheduleKind::Splittable => ccs_exact::splittable_optimum(inst).ok(),
         ScheduleKind::Preemptive => ccs_exact::preemptive_optimum(inst).ok(),
-        ScheduleKind::NonPreemptive => ccs_exact::nonpreemptive_optimum(inst)
+        ScheduleKind::NonPreemptive => ccs_exact::ExactNonPreemptive
+            .solve(inst)
             .ok()
-            .map(Rational::from),
-        ScheduleKind::Moldable => ccs_exact::moldable_optimum(inst).ok().map(Rational::from),
+            .map(|report| report.makespan),
+        ScheduleKind::Moldable => ccs_exact::ExactMoldable
+            .solve(inst)
+            .ok()
+            .map(|report| report.makespan),
     }
-}
-
-fn ccs_exact_optimum_splittable(inst: &ccs_core::Instance) -> Option<Rational> {
-    ccs_exact::splittable_optimum(inst).ok()
 }
 
 /// `solve_batch` on a 100-instance generated batch returns exactly the

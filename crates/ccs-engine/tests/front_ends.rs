@@ -149,7 +149,9 @@ struct Gated {
     open: Arc<AtomicBool>,
 }
 
-impl Solver<NonPreemptiveSchedule> for Gated {
+impl Solver for Gated {
+    type Schedule = NonPreemptiveSchedule;
+
     fn name(&self) -> &'static str {
         "exact-nonpreemptive"
     }
@@ -158,9 +160,6 @@ impl Solver<NonPreemptiveSchedule> for Gated {
     }
     fn guarantee(&self) -> Guarantee {
         Guarantee::Exact
-    }
-    fn solve(&self, _: &Instance) -> Result<SolveReport<NonPreemptiveSchedule>> {
-        unreachable!("the engine always runs solvers under a context")
     }
     fn solve_ctx(
         &self,

@@ -7,7 +7,8 @@
 
 use ccs_core::instance::instance_from_pairs;
 use ccs_core::{
-    CcsError, Guarantee, Instance, NonPreemptiveSchedule, ScheduleKind, SolveReport, Solver,
+    CcsError, Guarantee, Instance, NonPreemptiveSchedule, ScheduleKind, SolveContext, SolveReport,
+    Solver,
 };
 use ccs_engine::wire::{self, ServiceStats, WireRequest};
 use ccs_engine::{Engine, NetServer, NetdConfig, NetdHandle, SolveRequest, SolverRegistry};
@@ -653,7 +654,9 @@ fn a_slow_session_solve_does_not_stall_another_connection() {
 /// Stands in for `exact-nonpreemptive` and panics.
 struct Panicking;
 
-impl Solver<NonPreemptiveSchedule> for Panicking {
+impl Solver for Panicking {
+    type Schedule = NonPreemptiveSchedule;
+
     fn name(&self) -> &'static str {
         "exact-nonpreemptive"
     }
@@ -663,7 +666,11 @@ impl Solver<NonPreemptiveSchedule> for Panicking {
     fn guarantee(&self) -> Guarantee {
         Guarantee::Exact
     }
-    fn solve(&self, _: &Instance) -> ccs_core::Result<SolveReport<NonPreemptiveSchedule>> {
+    fn solve_ctx(
+        &self,
+        _: &Instance,
+        _: &SolveContext,
+    ) -> ccs_core::Result<SolveReport<NonPreemptiveSchedule>> {
         panic!("planted solver panic")
     }
 }

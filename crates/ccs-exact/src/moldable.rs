@@ -7,7 +7,10 @@
 //! `(load, hosted classes)` signatures lead to isomorphic subtrees and are
 //! expanded only once.
 
-use ccs_core::{CcsError, Instance, MoldableSchedule, Result, Schedule, SolveContext};
+use ccs_core::solver::{Guarantee, SolveReport, SolveStats, Solver, SolverCost};
+use ccs_core::{
+    CcsError, Instance, MoldableSchedule, Rational, Result, Schedule, ScheduleKind, SolveContext,
+};
 use std::collections::BTreeSet;
 
 /// Hard limits protecting callers from accidentally running the exponential
@@ -24,28 +27,53 @@ const MAX_MENU_TOTAL: usize = 64;
 /// checkpoints; a power of two so the test is a mask.
 const CTX_CHECK_MASK: u64 = 0x3FF;
 
-/// Computes the exact optimal moldable makespan by branch and bound.
+/// Branch-and-bound exact solver for the moldable extension model
+/// (instances up to 10 jobs / 4 effective machines).
 ///
-/// Intended for small instances only; returns
-/// [`CcsError::InvalidParameter`] when the size limits are exceeded and
-/// [`CcsError::Infeasible`] when `C > c·m`.
-pub fn moldable_optimum(inst: &Instance) -> Result<u64> {
-    Ok(moldable_optimum_with_schedule(inst)?.0)
-}
-
-/// Like [`moldable_optimum`] but also returns an optimal schedule.
-pub fn moldable_optimum_with_schedule(inst: &Instance) -> Result<(u64, MoldableSchedule)> {
-    moldable_optimum_with_schedule_ctx(inst, &SolveContext::unbounded())
-}
-
-/// [`moldable_optimum_with_schedule`] under an execution context: the search
-/// polls `ctx` every few hundred nodes and aborts with
+/// Fails with [`CcsError::InvalidParameter`] when the size limits are
+/// exceeded and with [`CcsError::Infeasible`] when `C > c·m`.  The search
+/// polls the context every few hundred nodes and aborts with
 /// [`CcsError::DeadlineExceeded`] / [`CcsError::Cancelled`] when its budget
 /// runs out.
-pub fn moldable_optimum_with_schedule_ctx(
-    inst: &Instance,
-    ctx: &SolveContext,
-) -> Result<(u64, MoldableSchedule)> {
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ExactMoldable;
+
+impl Solver for ExactMoldable {
+    type Schedule = MoldableSchedule;
+
+    fn name(&self) -> &'static str {
+        "exact-moldable"
+    }
+
+    fn kind(&self) -> ScheduleKind {
+        ScheduleKind::Moldable
+    }
+
+    fn guarantee(&self) -> Guarantee {
+        Guarantee::Exact
+    }
+
+    fn cost(&self) -> SolverCost {
+        SolverCost::InstanceExponential
+    }
+
+    fn solve_ctx(
+        &self,
+        inst: &Instance,
+        ctx: &SolveContext,
+    ) -> Result<SolveReport<MoldableSchedule>> {
+        let (opt, schedule) = branch_and_bound(inst, ctx)?;
+        Ok(SolveReport {
+            schedule,
+            makespan: Rational::from(opt),
+            lower_bound: Rational::from(opt),
+            stats: SolveStats::default(),
+        })
+    }
+}
+
+/// The exact optimal moldable makespan and a witness schedule.
+fn branch_and_bound(inst: &Instance, ctx: &SolveContext) -> Result<(u64, MoldableSchedule)> {
     ctx.checkpoint()?;
     if !inst.is_feasible() {
         return Err(CcsError::infeasible("more classes than class slots"));
@@ -261,10 +289,17 @@ fn search(s: &mut SearchState<'_>, depth: usize) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::nonpreemptive::nonpreemptive_optimum;
+    use crate::ExactNonPreemptive;
     use ccs_core::bounds::{moldable_lower_bound, moldable_upper_bound};
     use ccs_core::instance::{instance_from_pairs, InstanceBuilder};
-    use ccs_core::Rational;
+
+    fn optimum_with_schedule(inst: &Instance) -> Result<(u64, MoldableSchedule)> {
+        branch_and_bound(inst, &SolveContext::unbounded())
+    }
+
+    fn optimum(inst: &Instance) -> Result<u64> {
+        Ok(optimum_with_schedule(inst)?.0)
+    }
 
     #[test]
     fn wide_shape_beats_sequential() {
@@ -272,7 +307,7 @@ mod tests {
             .job_shaped(9, 0, &[(1, 9), (3, 2)])
             .build()
             .unwrap();
-        let (opt, schedule) = moldable_optimum_with_schedule(&inst).unwrap();
+        let (opt, schedule) = optimum_with_schedule(&inst).unwrap();
         assert_eq!(opt, 2);
         assert_eq!(schedule.makespan(&inst), Rational::from(2u64));
     }
@@ -286,7 +321,7 @@ mod tests {
             .job(5, 1)
             .build()
             .unwrap();
-        assert_eq!(moldable_optimum(&inst).unwrap(), 6);
+        assert_eq!(optimum(&inst).unwrap(), 6);
     }
 
     #[test]
@@ -296,9 +331,9 @@ mod tests {
             if !inst.is_feasible() {
                 continue;
             }
-            let np = nonpreemptive_optimum(&inst).unwrap();
-            let moldable = moldable_optimum(&inst).unwrap();
-            assert_eq!(np, moldable, "seed {seed}");
+            let np = ExactNonPreemptive.solve(&inst).unwrap().makespan;
+            let moldable = optimum(&inst).unwrap();
+            assert_eq!(np, Rational::from(moldable), "seed {seed}");
         }
     }
 
@@ -310,7 +345,7 @@ mod tests {
             .job(4, 1)
             .build()
             .unwrap();
-        let (opt, schedule) = moldable_optimum_with_schedule(&inst).unwrap();
+        let (opt, schedule) = optimum_with_schedule(&inst).unwrap();
         schedule.validate(&inst).unwrap();
         assert_eq!(schedule.makespan(&inst), Rational::from(opt));
         assert!(opt >= moldable_lower_bound(&inst));
@@ -325,31 +360,25 @@ mod tests {
             .job(5, 1)
             .build()
             .unwrap();
-        let (opt, _) = moldable_optimum_with_schedule(&inst).unwrap();
+        let (opt, _) = optimum_with_schedule(&inst).unwrap();
         assert_eq!(opt, 5);
     }
 
     #[test]
     fn infeasible_rejected() {
         let inst = instance_from_pairs(1, 1, &[(1, 0), (1, 1)]).unwrap();
-        assert!(moldable_optimum(&inst).is_err());
+        assert!(optimum(&inst).is_err());
     }
 
     #[test]
     fn too_large_rejected() {
         let jobs: Vec<(u64, u32)> = (0..12).map(|i| (1, i % 3)).collect();
         let inst = instance_from_pairs(2, 3, &jobs).unwrap();
-        assert!(matches!(
-            moldable_optimum(&inst),
-            Err(CcsError::InvalidParameter(_))
-        ));
+        assert!(matches!(optimum(&inst), Err(CcsError::InvalidParameter(_))));
         // 6 unshaped jobs on 6 machines: the effective machine count is 6.
         let jobs: Vec<(u64, u32)> = (0..6).map(|_| (1, 0)).collect();
         let inst = instance_from_pairs(6, 2, &jobs).unwrap();
-        assert!(matches!(
-            moldable_optimum(&inst),
-            Err(CcsError::InvalidParameter(_))
-        ));
+        assert!(matches!(optimum(&inst), Err(CcsError::InvalidParameter(_))));
     }
 
     #[test]
@@ -359,7 +388,7 @@ mod tests {
         let inst = instance_from_pairs(4, 2, &jobs).unwrap();
         let ctx = SolveContext::unbounded().with_timeout(Duration::ZERO);
         assert!(matches!(
-            moldable_optimum_with_schedule_ctx(&inst, &ctx),
+            branch_and_bound(&inst, &ctx),
             Err(CcsError::DeadlineExceeded)
         ));
     }

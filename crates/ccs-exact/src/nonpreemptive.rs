@@ -1,7 +1,11 @@
 //! Exact branch-and-bound solver for the non-preemptive model.
 
 use ccs_core::par::par_map_ctx;
-use ccs_core::{CcsError, Instance, NonPreemptiveSchedule, Result, Schedule, SolveContext};
+use ccs_core::solver::{Guarantee, SolveReport, SolveStats, Solver, SolverCost};
+use ccs_core::{
+    CcsError, Instance, NonPreemptiveSchedule, Rational, Result, Schedule, ScheduleKind,
+    SolveContext,
+};
 use std::collections::BTreeSet;
 
 /// Hard limits protecting callers from accidentally running the exponential
@@ -22,31 +26,53 @@ const FRONTIER_TARGET: usize = 16;
 /// trees finish faster than workers can spawn.
 const PAR_JOB_THRESHOLD: usize = 10;
 
-/// Computes the exact optimal non-preemptive makespan (and a witness
-/// schedule) by branch and bound.
+/// Branch-and-bound exact solver for the non-preemptive model (instances up
+/// to 22 jobs / 8 machines).
 ///
-/// Intended for small instances only; returns
-/// [`CcsError::InvalidParameter`] when `n` or `m` exceed the built-in limits
-/// and [`CcsError::Infeasible`] when `C > c·m`.
-pub fn nonpreemptive_optimum(inst: &Instance) -> Result<u64> {
-    Ok(nonpreemptive_optimum_with_schedule(inst)?.0)
-}
-
-/// Like [`nonpreemptive_optimum`] but also returns an optimal schedule.
-pub fn nonpreemptive_optimum_with_schedule(
-    inst: &Instance,
-) -> Result<(u64, NonPreemptiveSchedule)> {
-    nonpreemptive_optimum_with_schedule_ctx(inst, &SolveContext::unbounded())
-}
-
-/// [`nonpreemptive_optimum_with_schedule`] under an execution context: the
-/// branch-and-bound polls `ctx` every few hundred nodes and aborts with
+/// Fails with [`CcsError::InvalidParameter`] when `n` or `m` exceed the
+/// built-in limits and with [`CcsError::Infeasible`] when `C > c·m`.  The
+/// search polls the context every few hundred nodes and aborts with
 /// [`CcsError::DeadlineExceeded`] / [`CcsError::Cancelled`] when its budget
 /// runs out.
-pub fn nonpreemptive_optimum_with_schedule_ctx(
-    inst: &Instance,
-    ctx: &SolveContext,
-) -> Result<(u64, NonPreemptiveSchedule)> {
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ExactNonPreemptive;
+
+impl Solver for ExactNonPreemptive {
+    type Schedule = NonPreemptiveSchedule;
+
+    fn name(&self) -> &'static str {
+        "exact-nonpreemptive"
+    }
+
+    fn kind(&self) -> ScheduleKind {
+        ScheduleKind::NonPreemptive
+    }
+
+    fn guarantee(&self) -> Guarantee {
+        Guarantee::Exact
+    }
+
+    fn cost(&self) -> SolverCost {
+        SolverCost::InstanceExponential
+    }
+
+    fn solve_ctx(
+        &self,
+        inst: &Instance,
+        ctx: &SolveContext,
+    ) -> Result<SolveReport<NonPreemptiveSchedule>> {
+        let (opt, schedule) = branch_and_bound(inst, ctx)?;
+        Ok(SolveReport {
+            schedule,
+            makespan: Rational::from(opt),
+            lower_bound: Rational::from(opt),
+            stats: SolveStats::default(),
+        })
+    }
+}
+
+/// The exact optimal non-preemptive makespan and a witness schedule.
+fn branch_and_bound(inst: &Instance, ctx: &SolveContext) -> Result<(u64, NonPreemptiveSchedule)> {
     ctx.checkpoint()?;
     if !inst.is_feasible() {
         return Err(CcsError::infeasible("more classes than class slots"));
@@ -385,17 +411,21 @@ mod tests {
     use super::*;
     use ccs_core::instance::instance_from_pairs;
 
+    fn optimum(inst: &Instance) -> Result<u64> {
+        Ok(branch_and_bound(inst, &SolveContext::unbounded())?.0)
+    }
+
     #[test]
     fn trivial_single_machine() {
         let inst = instance_from_pairs(1, 3, &[(3, 0), (4, 1), (5, 2)]).unwrap();
-        assert_eq!(nonpreemptive_optimum(&inst).unwrap(), 12);
+        assert_eq!(optimum(&inst).unwrap(), 12);
     }
 
     #[test]
     fn perfect_partition_found() {
         // 2 machines, jobs 3,3,2,2,2 of one class: optimum 6.
         let inst = instance_from_pairs(2, 1, &[(3, 0), (3, 0), (2, 0), (2, 0), (2, 0)]).unwrap();
-        assert_eq!(nonpreemptive_optimum(&inst).unwrap(), 6);
+        assert_eq!(optimum(&inst).unwrap(), 6);
     }
 
     #[test]
@@ -404,7 +434,7 @@ mod tests {
         // whereas without class constraints it would still be 10; tighten:
         // class loads 7 (jobs 4+3) and 5 (jobs 3+2): optimum 7.
         let inst = instance_from_pairs(2, 1, &[(4, 0), (3, 0), (3, 1), (2, 1)]).unwrap();
-        assert_eq!(nonpreemptive_optimum(&inst).unwrap(), 7);
+        assert_eq!(optimum(&inst).unwrap(), 7);
     }
 
     #[test]
@@ -412,14 +442,14 @@ mod tests {
         // 2 machines with 1 slot: classes {6, 1} and {5}: without classes the
         // optimum would be 6 (6 | 1+5); with one slot per machine it is 7.
         let inst = instance_from_pairs(2, 1, &[(6, 0), (1, 0), (5, 1)]).unwrap();
-        assert_eq!(nonpreemptive_optimum(&inst).unwrap(), 7);
+        assert_eq!(optimum(&inst).unwrap(), 7);
     }
 
     #[test]
     fn optimum_with_schedule_is_consistent() {
         let inst =
             instance_from_pairs(3, 2, &[(7, 0), (8, 0), (9, 1), (5, 1), (4, 2), (3, 3)]).unwrap();
-        let (opt, schedule) = nonpreemptive_optimum_with_schedule(&inst).unwrap();
+        let (opt, schedule) = branch_and_bound(&inst, &SolveContext::unbounded()).unwrap();
         schedule.validate(&inst).unwrap();
         assert_eq!(schedule.makespan_int(&inst), opt);
     }
@@ -427,17 +457,14 @@ mod tests {
     #[test]
     fn infeasible_rejected() {
         let inst = instance_from_pairs(1, 1, &[(1, 0), (1, 1)]).unwrap();
-        assert!(nonpreemptive_optimum(&inst).is_err());
+        assert!(optimum(&inst).is_err());
     }
 
     #[test]
     fn too_large_rejected() {
         let jobs: Vec<(u64, u32)> = (0..30).map(|i| (1, i % 3)).collect();
         let inst = instance_from_pairs(2, 3, &jobs).unwrap();
-        assert!(matches!(
-            nonpreemptive_optimum(&inst),
-            Err(CcsError::InvalidParameter(_))
-        ));
+        assert!(matches!(optimum(&inst), Err(CcsError::InvalidParameter(_))));
     }
 
     #[test]
@@ -451,7 +478,7 @@ mod tests {
                 continue;
             }
             let ctx = SolveContext::unbounded();
-            let (opt, schedule) = nonpreemptive_optimum_with_schedule_ctx(&inst, &ctx).unwrap();
+            let (opt, schedule) = branch_and_bound(&inst, &ctx).unwrap();
 
             let m = inst.machines().min(inst.num_jobs() as u64) as usize;
             let mut order: Vec<usize> = (0..inst.num_jobs()).collect();
@@ -480,7 +507,7 @@ mod tests {
 
     #[test]
     fn warm_hints_never_change_the_witness() {
-        use ccs_core::{Rational, StatsSink, WarmHint};
+        use ccs_core::{StatsSink, WarmHint};
         use std::sync::Arc;
         for seed in 0..40u64 {
             let inst = ccs_gen_sized(seed, 10 + (seed % 4) as usize);
@@ -488,7 +515,7 @@ mod tests {
                 continue;
             }
             let (cold_opt, cold_schedule) =
-                nonpreemptive_optimum_with_schedule_ctx(&inst, &SolveContext::unbounded()).unwrap();
+                branch_and_bound(&inst, &SolveContext::unbounded()).unwrap();
             // Hints from a spread of anchors around the optimum: exact,
             // slack (a parent whose makespan exceeded the child's), and too
             // tight (forces the cold fallback).
@@ -504,8 +531,7 @@ mod tests {
                 let ctx = SolveContext::unbounded()
                     .with_stats(sink.clone())
                     .with_warm(WarmHint { makespan: hint });
-                let (warm_opt, warm_schedule) =
-                    nonpreemptive_optimum_with_schedule_ctx(&inst, &ctx).unwrap();
+                let (warm_opt, warm_schedule) = branch_and_bound(&inst, &ctx).unwrap();
                 assert_eq!(warm_opt, cold_opt, "seed {seed} hint {hint}");
                 assert_eq!(warm_schedule, cold_schedule, "seed {seed} hint {hint}");
                 let snap = sink.snapshot();
@@ -553,7 +579,7 @@ mod tests {
             if !inst.is_feasible() || inst.num_jobs() > 7 {
                 continue;
             }
-            let bb = nonpreemptive_optimum(&inst).unwrap();
+            let bb = optimum(&inst).unwrap();
             let bf = brute_force(&inst);
             assert_eq!(bb, bf, "seed {seed}");
         }

@@ -1,7 +1,7 @@
-//! Witness schedules for the exact splittable / preemptive optima.
+//! The exact splittable / preemptive solvers: optima with witness schedules.
 //!
-//! [`crate::splittable_optimum`] only reports the optimal *value*; the
-//! unified `Solver` surface requires an actual schedule.  This module turns
+//! [`crate::splittable_optimum`] only reports the optimal *value*; a
+//! [`Solver`] must return an actual schedule.  This module turns
 //! the optimal machine/class *structure* found by the enumeration into an
 //! explicit schedule:
 //!
@@ -16,9 +16,10 @@
 //!    serialises the pieces so no job overlaps itself.
 
 use crate::splittable::splittable_optimum_structure;
+use ccs_core::solver::{Guarantee, SolveReport, SolveStats, Solver, SolverCost};
 use ccs_core::{
     CcsError, Instance, PreemptivePiece, PreemptiveSchedule, Rational, Result, Schedule,
-    SolveContext, SplittableSchedule,
+    ScheduleKind, SolveContext, SplittableSchedule,
 };
 use flownet::open_shop_timetable;
 
@@ -32,69 +33,116 @@ const MAX_WITNESS_MACHINES: u64 = 8;
 /// dense-matrix flow network would degrade anyway).
 const MAX_WITNESS_CLASSES: usize = 31;
 
-/// Exact optimal makespan of the splittable model together with an optimal
-/// schedule.
+/// Structure-enumeration exact solver for the splittable model (instances
+/// up to 6 classes / 4 machines).
 ///
 /// Subject to the same size limits as [`crate::splittable_optimum`]; in the
 /// unconstrained case (`c ≥ C`) the limit is `m ≤ 8` machines because the
-/// witness must list every machine explicitly.
-pub fn splittable_optimum_with_schedule(inst: &Instance) -> Result<(Rational, SplittableSchedule)> {
-    splittable_optimum_with_schedule_ctx(inst, &SolveContext::unbounded())
+/// witness must list every machine explicitly.  The context is polled inside
+/// the structure enumeration.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ExactSplittable;
+
+impl Solver for ExactSplittable {
+    type Schedule = SplittableSchedule;
+
+    fn name(&self) -> &'static str {
+        "exact-splittable"
+    }
+
+    fn kind(&self) -> ScheduleKind {
+        ScheduleKind::Splittable
+    }
+
+    fn guarantee(&self) -> Guarantee {
+        Guarantee::Exact
+    }
+
+    fn cost(&self) -> SolverCost {
+        SolverCost::InstanceExponential
+    }
+
+    fn solve_ctx(
+        &self,
+        inst: &Instance,
+        ctx: &SolveContext,
+    ) -> Result<SolveReport<SplittableSchedule>> {
+        let (optimum, structure) = optimum_and_structure(inst, ctx)?;
+        ctx.checkpoint()?;
+        let assignment = distribute(inst, &structure, optimum)?;
+        let schedule = explicit_schedule(inst, &assignment);
+        schedule.validate(inst)?;
+        Ok(SolveReport {
+            schedule,
+            makespan: optimum,
+            lower_bound: optimum,
+            stats: SolveStats::default(),
+        })
+    }
 }
 
-/// [`splittable_optimum_with_schedule`] under an execution context (polled
-/// inside the structure enumeration).
-pub fn splittable_optimum_with_schedule_ctx(
-    inst: &Instance,
-    ctx: &SolveContext,
-) -> Result<(Rational, SplittableSchedule)> {
-    let (optimum, structure) = optimum_and_structure(inst, ctx)?;
-    ctx.checkpoint()?;
-    let assignment = distribute(inst, &structure, optimum)?;
-    let schedule = explicit_schedule(inst, &assignment);
-    schedule.validate(inst)?;
-    Ok((optimum, schedule))
-}
-
-/// Exact optimal makespan of the preemptive model together with an optimal
-/// schedule (same size limits as [`splittable_optimum_with_schedule`]).
+/// Exact solver for the preemptive model (same size limits as
+/// [`ExactSplittable`]).
 ///
 /// The optimum equals `max(p_max, opt_splittable)`; the witness distributes
 /// the class loads with machine capacity `T = max(p_max, opt_splittable)`
 /// and serialises the fractional assignment into a timetable of exactly that
 /// length via open-shop scheduling.
-pub fn preemptive_optimum_with_schedule(inst: &Instance) -> Result<(Rational, PreemptiveSchedule)> {
-    preemptive_optimum_with_schedule_ctx(inst, &SolveContext::unbounded())
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ExactPreemptive;
 
-/// [`preemptive_optimum_with_schedule`] under an execution context (polled
-/// inside the structure enumeration).
-pub fn preemptive_optimum_with_schedule_ctx(
-    inst: &Instance,
-    ctx: &SolveContext,
-) -> Result<(Rational, PreemptiveSchedule)> {
-    let (split_opt, structure) = optimum_and_structure(inst, ctx)?;
-    let optimum = split_opt.max(Rational::from(inst.p_max()));
-    ctx.checkpoint()?;
-    let assignment = distribute(inst, &structure, optimum)?;
+impl Solver for ExactPreemptive {
+    type Schedule = PreemptiveSchedule;
 
-    let m = structure.len();
-    // Job × machine work matrix for the open-shop serialisation.
-    let mut work = vec![vec![Rational::ZERO; m]; inst.num_jobs()];
-    for (machine, pieces) in assignment.iter().enumerate() {
-        for &(job, amount) in pieces {
-            work[job][machine] += amount;
+    fn name(&self) -> &'static str {
+        "exact-preemptive"
+    }
+
+    fn kind(&self) -> ScheduleKind {
+        ScheduleKind::Preemptive
+    }
+
+    fn guarantee(&self) -> Guarantee {
+        Guarantee::Exact
+    }
+
+    fn cost(&self) -> SolverCost {
+        SolverCost::InstanceExponential
+    }
+
+    fn solve_ctx(
+        &self,
+        inst: &Instance,
+        ctx: &SolveContext,
+    ) -> Result<SolveReport<PreemptiveSchedule>> {
+        let (split_opt, structure) = optimum_and_structure(inst, ctx)?;
+        let optimum = split_opt.max(Rational::from(inst.p_max()));
+        ctx.checkpoint()?;
+        let assignment = distribute(inst, &structure, optimum)?;
+
+        let m = structure.len();
+        // Job × machine work matrix for the open-shop serialisation.
+        let mut work = vec![vec![Rational::ZERO; m]; inst.num_jobs()];
+        for (machine, pieces) in assignment.iter().enumerate() {
+            for &(job, amount) in pieces {
+                work[job][machine] += amount;
+            }
         }
+        let (pieces, length) = open_shop_timetable(&work);
+        let mut machines: Vec<Vec<PreemptivePiece>> = vec![Vec::new(); m];
+        for (job, machine, start, len) in pieces {
+            machines[machine].push(PreemptivePiece::new(job, start, len));
+        }
+        let schedule = PreemptiveSchedule::new(machines);
+        schedule.validate(inst)?;
+        debug_assert_eq!(length, optimum);
+        Ok(SolveReport {
+            schedule,
+            makespan: optimum,
+            lower_bound: optimum,
+            stats: SolveStats::default(),
+        })
     }
-    let (pieces, length) = open_shop_timetable(&work);
-    let mut machines: Vec<Vec<PreemptivePiece>> = vec![Vec::new(); m];
-    for (job, machine, start, len) in pieces {
-        machines[machine].push(PreemptivePiece::new(job, start, len));
-    }
-    let schedule = PreemptiveSchedule::new(machines);
-    schedule.validate(inst)?;
-    debug_assert_eq!(length, optimum);
-    Ok((optimum, schedule))
 }
 
 /// The optimal splittable makespan and a witness structure, covering both the
@@ -285,7 +333,16 @@ impl DenseFlow {
 mod tests {
     use super::*;
     use ccs_core::instance::instance_from_pairs;
-    use ccs_core::Schedule;
+
+    fn splittable_witness(inst: &Instance) -> Result<(Rational, SplittableSchedule)> {
+        let report = ExactSplittable.solve(inst)?;
+        Ok((report.makespan, report.schedule))
+    }
+
+    fn preemptive_witness(inst: &Instance) -> Result<(Rational, PreemptiveSchedule)> {
+        let report = ExactPreemptive.solve(inst)?;
+        Ok((report.makespan, report.schedule))
+    }
 
     #[test]
     fn splittable_witness_achieves_the_optimum() {
@@ -298,7 +355,7 @@ mod tests {
         ] {
             let inst = instance_from_pairs(m, c, &jobs).unwrap();
             let value = crate::splittable_optimum(&inst).unwrap();
-            let (opt, schedule) = splittable_optimum_with_schedule(&inst).unwrap();
+            let (opt, schedule) = splittable_witness(&inst).unwrap();
             assert_eq!(opt, value);
             schedule.validate(&inst).unwrap();
             assert_eq!(schedule.makespan(&inst), opt);
@@ -308,7 +365,7 @@ mod tests {
     #[test]
     fn unconstrained_case_reaches_area_bound() {
         let inst = instance_from_pairs(2, 2, &[(4, 0), (6, 1)]).unwrap();
-        let (opt, schedule) = splittable_optimum_with_schedule(&inst).unwrap();
+        let (opt, schedule) = splittable_witness(&inst).unwrap();
         assert_eq!(opt, Rational::from_int(5));
         assert_eq!(schedule.makespan(&inst), opt);
     }
@@ -323,7 +380,7 @@ mod tests {
         ] {
             let inst = instance_from_pairs(m, c, &jobs).unwrap();
             let value = crate::preemptive_optimum(&inst).unwrap();
-            let (opt, schedule) = preemptive_optimum_with_schedule(&inst).unwrap();
+            let (opt, schedule) = preemptive_witness(&inst).unwrap();
             assert_eq!(opt, value);
             schedule.validate(&inst).unwrap();
             assert_eq!(schedule.makespan(&inst), opt);
@@ -333,7 +390,7 @@ mod tests {
     #[test]
     fn witness_rejects_oversized_unconstrained_instances() {
         let inst = instance_from_pairs(1 << 20, 2, &[(5, 0), (5, 1)]).unwrap();
-        assert!(splittable_optimum_with_schedule(&inst).is_err());
+        assert!(splittable_witness(&inst).is_err());
         // The value-only solver still handles it via the shortcut.
         assert!(crate::splittable_optimum(&inst).is_ok());
     }
@@ -346,14 +403,14 @@ mod tests {
         let inst = instance_from_pairs(2, 40, &jobs).unwrap();
         assert!(crate::splittable_optimum(&inst).is_ok());
         assert!(matches!(
-            splittable_optimum_with_schedule(&inst),
+            splittable_witness(&inst),
             Err(CcsError::InvalidParameter(_))
         ));
-        assert!(preemptive_optimum_with_schedule(&inst).is_err());
+        assert!(preemptive_witness(&inst).is_err());
         // 31 classes still fit the mask and produce a valid witness.
         let jobs: Vec<(u64, u32)> = (0..31).map(|i| (1, i)).collect();
         let inst = instance_from_pairs(2, 31, &jobs).unwrap();
-        let (opt, schedule) = splittable_optimum_with_schedule(&inst).unwrap();
+        let (opt, schedule) = splittable_witness(&inst).unwrap();
         schedule.validate(&inst).unwrap();
         assert_eq!(opt, inst.average_load());
     }
@@ -361,8 +418,8 @@ mod tests {
     #[test]
     fn infeasible_rejected() {
         let inst = instance_from_pairs(1, 1, &[(1, 0), (1, 1)]).unwrap();
-        assert!(splittable_optimum_with_schedule(&inst).is_err());
-        assert!(preemptive_optimum_with_schedule(&inst).is_err());
+        assert!(splittable_witness(&inst).is_err());
+        assert!(preemptive_witness(&inst).is_err());
     }
 
     #[test]

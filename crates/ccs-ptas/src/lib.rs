@@ -31,9 +31,39 @@
 //! The running time therefore remains exponential in `1/δ` (as any PTAS must
 //! be) and practical only for coarse `δ`; the benchmark harness documents the
 //! measured growth.
+//!
+//! Each scheme is reached only through its [`ccs_core::Solver`] impl
+//! ([`SplittablePtas`], [`PreemptivePtas`], [`NonpreemptivePtas`]), which is
+//! parameterised by [`PtasParams`] at construction time, so a registry can
+//! hold several accuracy levels of the same scheme side by side while the
+//! engine constructs bespoke instances for explicit `epsilon` requests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+/// The constructors shared by the three scheme solvers.
+macro_rules! ptas_common {
+    ($ty:ident) => {
+        impl $ty {
+            /// Creates the solver with the given accuracy parameters.
+            pub fn new(params: PtasParams) -> Self {
+                Self { params }
+            }
+
+            /// The accuracy parameters this solver runs with.
+            pub fn params(&self) -> PtasParams {
+                self.params
+            }
+        }
+
+        impl Default for $ty {
+            /// Defaults to `1/δ = 4`, a coarse but fast accuracy level.
+            fn default() -> Self {
+                Self::new(PtasParams { delta_inv: 4 })
+            }
+        }
+    };
+}
 
 pub mod config;
 mod grid;
@@ -42,14 +72,40 @@ pub mod nfold_build;
 pub mod nonpreemptive;
 pub mod params;
 pub mod preemptive;
-pub mod result;
+mod result;
 pub mod scale;
-pub mod solver;
 pub mod splittable;
 
-pub use nonpreemptive::{nonpreemptive_ptas, nonpreemptive_ptas_ctx};
+pub use nonpreemptive::NonpreemptivePtas;
 pub use params::PtasParams;
-pub use preemptive::{preemptive_ptas, preemptive_ptas_ctx};
-pub use result::PtasResult;
-pub use solver::{NonpreemptivePtas, PreemptivePtas, SplittablePtas};
-pub use splittable::{splittable_ptas, splittable_ptas_ctx};
+pub use preemptive::PreemptivePtas;
+pub use splittable::SplittablePtas;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ccs_core::instance::instance_from_pairs;
+    use ccs_core::{Rational, Solver};
+
+    #[test]
+    fn guarantee_factor_matches_params() {
+        let solver = SplittablePtas::new(PtasParams::with_delta_inv(4).unwrap());
+        assert_eq!(
+            solver.guarantee().factor(),
+            Some(Rational::from_int(3)) // 1 + 8/4
+        );
+        assert_eq!(solver.params().delta_inv(), 4);
+        // A coarse scheme still returns a valid schedule through the trait.
+        let inst = instance_from_pairs(2, 1, &[(6, 0), (4, 1), (2, 0)]).unwrap();
+        let params = PtasParams::with_delta_inv(2).unwrap();
+        let report = SplittablePtas::new(params).solve(&inst).unwrap();
+        report.validate(&inst).unwrap();
+    }
+
+    #[test]
+    fn default_accuracy_is_valid() {
+        assert_eq!(SplittablePtas::default().params().delta_inv(), 4);
+        assert_eq!(PreemptivePtas::default().params().delta_inv(), 4);
+        assert_eq!(NonpreemptivePtas::default().params().delta_inv(), 4);
+    }
+}

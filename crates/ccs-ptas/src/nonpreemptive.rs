@@ -15,10 +15,11 @@ use crate::ilp::{IlpOutcome, IntProgram};
 use crate::params::PtasParams;
 use crate::result::PtasResult;
 use crate::scale::{group_classes, GroupedClass, GuessScale};
-use ccs_approx::nonpreemptive_73_approx_ctx;
+use ccs_approx::Nonpreemptive73Approx;
+use ccs_core::solver::{Guarantee, SolveReport, Solver, SolverCost};
 use ccs_core::{
     bounds, CcsError, Instance, NonPreemptiveSchedule, Rational, Result, Scalar, Schedule,
-    SolveContext,
+    ScheduleKind, SolveContext,
 };
 use std::collections::BTreeMap;
 
@@ -27,17 +28,47 @@ pub const MAX_MACHINES: u64 = 64;
 
 const ILP_NODE_BUDGET: usize = 2_000_000;
 
-/// Runs the non-preemptive PTAS.
-pub fn nonpreemptive_ptas(
-    inst: &Instance,
+/// The non-preemptive PTAS (Theorem 14) at the accuracy of its
+/// [`PtasParams`] (the context is polled per guess and inside the
+/// configuration-ILP search).
+#[derive(Debug, Clone, Copy)]
+pub struct NonpreemptivePtas {
     params: PtasParams,
-) -> Result<PtasResult<NonPreemptiveSchedule>> {
-    nonpreemptive_ptas_ctx(inst, params, &SolveContext::unbounded())
 }
 
-/// [`nonpreemptive_ptas`] under an execution context (polled per guess and
-/// inside the configuration-ILP search).
-pub fn nonpreemptive_ptas_ctx(
+ptas_common!(NonpreemptivePtas);
+
+impl Solver for NonpreemptivePtas {
+    type Schedule = NonPreemptiveSchedule;
+
+    fn name(&self) -> &'static str {
+        "ptas-nonpreemptive"
+    }
+
+    fn kind(&self) -> ScheduleKind {
+        ScheduleKind::NonPreemptive
+    }
+
+    fn guarantee(&self) -> Guarantee {
+        self.params.guarantee()
+    }
+
+    fn cost(&self) -> SolverCost {
+        SolverCost::AccuracyExponential
+    }
+
+    fn solve_ctx(
+        &self,
+        inst: &Instance,
+        ctx: &SolveContext,
+    ) -> Result<SolveReport<NonPreemptiveSchedule>> {
+        Ok(run(inst, self.params, ctx)?.into_report(inst))
+    }
+}
+
+/// Runs the non-preemptive PTAS, keeping the accepted guess beside the
+/// schedule.
+fn run(
     inst: &Instance,
     params: PtasParams,
     ctx: &SolveContext,
@@ -52,10 +83,10 @@ pub fn nonpreemptive_ptas_ctx(
         )));
     }
 
-    let warm = nonpreemptive_73_approx_ctx(inst, ctx)?;
-    let ub = warm.schedule.makespan(inst);
+    let warm = Nonpreemptive73Approx.solve_ctx(inst, ctx)?;
+    let ub = warm.makespan;
     let lb = warm
-        .optimum_lower_bound()
+        .lower_bound
         .max(Rational::from(bounds::nonpreemptive_lower_bound(inst)))
         .max(Rational::ONE);
     let delta = Rational::new(1, params.delta_inv as i128);
@@ -344,9 +375,13 @@ mod tests {
     use crate::splittable::guarantee_bound;
     use ccs_core::instance::instance_from_pairs;
 
+    fn ptas(inst: &Instance, params: PtasParams) -> Result<PtasResult<NonPreemptiveSchedule>> {
+        run(inst, params, &SolveContext::unbounded())
+    }
+
     fn check(inst: &Instance, delta_inv: u64) -> PtasResult<NonPreemptiveSchedule> {
         let params = PtasParams::with_delta_inv(delta_inv).unwrap();
-        let res = nonpreemptive_ptas(inst, params).unwrap();
+        let res = ptas(inst, params).unwrap();
         res.schedule.validate(inst).unwrap();
         let mk = res.schedule.makespan(inst);
         assert!(
@@ -376,11 +411,11 @@ mod tests {
         ];
         for inst in cases {
             let res = check(&inst, 2);
-            let opt = ccs_exact::nonpreemptive_optimum(&inst).unwrap();
+            let opt = ccs_exact::ExactNonPreemptive.solve(&inst).unwrap().makespan;
             // (1 + 5δ)(1 + δ) = 3.5 · 1.5 < 5.25 for δ = 1/2.
             let factor = Rational::new(21, 4);
             assert!(
-                res.schedule.makespan(&inst) <= factor * Rational::from(opt),
+                res.schedule.makespan(&inst) <= factor * opt,
                 "makespan {} vs optimum {opt}",
                 res.schedule.makespan(&inst)
             );
@@ -398,8 +433,8 @@ mod tests {
     fn rejects_too_many_machines_and_infeasible_instances() {
         let params = PtasParams::with_delta_inv(2).unwrap();
         let big = instance_from_pairs(1000, 2, &[(5, 0)]).unwrap();
-        assert!(nonpreemptive_ptas(&big, params).is_err());
+        assert!(ptas(&big, params).is_err());
         let inf = instance_from_pairs(1, 1, &[(1, 0), (1, 1)]).unwrap();
-        assert!(nonpreemptive_ptas(&inf, params).is_err());
+        assert!(ptas(&inf, params).is_err());
     }
 }

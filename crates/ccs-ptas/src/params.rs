@@ -1,6 +1,6 @@
 //! PTAS accuracy parameters.
 
-use ccs_core::{CcsError, Result};
+use ccs_core::{CcsError, Guarantee, Rational, Result};
 
 /// Accuracy parameter of the approximation schemes.
 ///
@@ -51,6 +51,13 @@ impl PtasParams {
     /// The guaranteed approximation factor `1 + ERROR_FACTOR · δ`.
     pub fn guaranteed_factor(&self) -> f64 {
         1.0 + Self::ERROR_FACTOR as f64 / self.delta_inv as f64
+    }
+
+    /// The guaranteed factor `1 + ERROR_FACTOR · δ` as an exact rational.
+    pub(crate) fn guarantee(&self) -> Guarantee {
+        Guarantee::Factor(
+            Rational::ONE + Rational::new(Self::ERROR_FACTOR as i128, self.delta_inv as i128),
+        )
     }
 }
 

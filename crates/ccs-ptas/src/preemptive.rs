@@ -16,26 +16,56 @@ use crate::params::PtasParams;
 use crate::result::PtasResult;
 use crate::scale::GuessScale;
 use crate::splittable::decide_ctx;
-use ccs_approx::preemptive_two_approx_ctx;
+use ccs_approx::PreemptiveTwoApprox;
+use ccs_core::solver::{Guarantee, SolveReport, Solver, SolverCost};
 use ccs_core::{
     bounds, CcsError, Instance, PreemptivePiece, PreemptiveSchedule, Rational, Result, Schedule,
-    SolveContext,
+    ScheduleKind, SolveContext,
 };
 
 /// Practical limit on the number of machines (see the splittable PTAS).
 pub const MAX_MACHINES: u64 = 64;
 
-/// Runs the preemptive PTAS.
-pub fn preemptive_ptas(
-    inst: &Instance,
+/// The preemptive PTAS (Theorem 19) at the accuracy of its [`PtasParams`]
+/// (the context is polled per guess and inside the configuration-ILP
+/// search).
+#[derive(Debug, Clone, Copy)]
+pub struct PreemptivePtas {
     params: PtasParams,
-) -> Result<PtasResult<PreemptiveSchedule>> {
-    preemptive_ptas_ctx(inst, params, &SolveContext::unbounded())
 }
 
-/// [`preemptive_ptas`] under an execution context (polled per guess and
-/// inside the configuration-ILP search).
-pub fn preemptive_ptas_ctx(
+ptas_common!(PreemptivePtas);
+
+impl Solver for PreemptivePtas {
+    type Schedule = PreemptiveSchedule;
+
+    fn name(&self) -> &'static str {
+        "ptas-preemptive"
+    }
+
+    fn kind(&self) -> ScheduleKind {
+        ScheduleKind::Preemptive
+    }
+
+    fn guarantee(&self) -> Guarantee {
+        self.params.guarantee()
+    }
+
+    fn cost(&self) -> SolverCost {
+        SolverCost::AccuracyExponential
+    }
+
+    fn solve_ctx(
+        &self,
+        inst: &Instance,
+        ctx: &SolveContext,
+    ) -> Result<SolveReport<PreemptiveSchedule>> {
+        Ok(run(inst, self.params, ctx)?.into_report(inst))
+    }
+}
+
+/// Runs the preemptive PTAS, keeping the accepted guess beside the schedule.
+fn run(
     inst: &Instance,
     params: PtasParams,
     ctx: &SolveContext,
@@ -73,10 +103,10 @@ pub fn preemptive_ptas_ctx(
         )));
     }
 
-    let warm = preemptive_two_approx_ctx(inst, ctx)?;
-    let ub = warm.schedule.makespan(inst);
+    let warm = PreemptiveTwoApprox.solve_ctx(inst, ctx)?;
+    let ub = warm.makespan;
     let lb = warm
-        .optimum_lower_bound()
+        .lower_bound
         .max(bounds::preemptive_lower_bound(inst))
         .max(Rational::ONE);
     let delta = Rational::new(1, params.delta_inv as i128);
@@ -151,9 +181,13 @@ mod tests {
     use crate::splittable::guarantee_bound;
     use ccs_core::instance::instance_from_pairs;
 
+    fn ptas(inst: &Instance, params: PtasParams) -> Result<PtasResult<PreemptiveSchedule>> {
+        run(inst, params, &SolveContext::unbounded())
+    }
+
     fn check(inst: &Instance, delta_inv: u64) -> PtasResult<PreemptiveSchedule> {
         let params = PtasParams::with_delta_inv(delta_inv).unwrap();
-        let res = preemptive_ptas(inst, params).unwrap();
+        let res = ptas(inst, params).unwrap();
         res.schedule.validate(inst).unwrap();
         let mk = res.schedule.makespan(inst);
         assert!(
@@ -214,6 +248,6 @@ mod tests {
     fn rejects_infeasible() {
         let inst = instance_from_pairs(1, 1, &[(1, 0), (1, 1)]).unwrap();
         let params = PtasParams::with_delta_inv(2).unwrap();
-        assert!(preemptive_ptas(&inst, params).is_err());
+        assert!(ptas(&inst, params).is_err());
     }
 }

@@ -16,9 +16,10 @@ use crate::ilp::{IlpOutcome, IntProgram};
 use crate::params::PtasParams;
 use crate::result::PtasResult;
 use crate::scale::GuessScale;
-use ccs_approx::splittable_two_approx_ctx;
+use ccs_approx::SplittableTwoApprox;
+use ccs_core::solver::{Guarantee, SolveReport, Solver, SolverCost};
 use ccs_core::{
-    CcsError, ClassId, Instance, Rational, Result, Scalar, Schedule, SolveContext,
+    CcsError, ClassId, Instance, Rational, Result, Scalar, ScheduleKind, SolveContext,
     SplittableSchedule,
 };
 use std::collections::BTreeMap;
@@ -47,19 +48,49 @@ pub struct SplitCertificate {
     pub small_groups: BTreeMap<ClassId, (u64, u64)>,
 }
 
-/// Runs the splittable PTAS.
-pub fn splittable_ptas(
-    inst: &Instance,
+/// The splittable PTAS (Theorems 10/11) at the accuracy of its
+/// [`PtasParams`].
+///
+/// The guess binary search and the configuration-ILP nodes poll the context
+/// and abort with [`CcsError::DeadlineExceeded`] / [`CcsError::Cancelled`]
+/// when its budget runs out.
+#[derive(Debug, Clone, Copy)]
+pub struct SplittablePtas {
     params: PtasParams,
-) -> Result<PtasResult<SplittableSchedule>> {
-    splittable_ptas_ctx(inst, params, &SolveContext::unbounded())
 }
 
-/// [`splittable_ptas`] under an execution context: the guess binary search
-/// and the configuration-ILP nodes poll `ctx` and abort with
-/// [`CcsError::DeadlineExceeded`] / [`CcsError::Cancelled`] when its budget
-/// runs out.
-pub fn splittable_ptas_ctx(
+ptas_common!(SplittablePtas);
+
+impl Solver for SplittablePtas {
+    type Schedule = SplittableSchedule;
+
+    fn name(&self) -> &'static str {
+        "ptas-splittable"
+    }
+
+    fn kind(&self) -> ScheduleKind {
+        ScheduleKind::Splittable
+    }
+
+    fn guarantee(&self) -> Guarantee {
+        self.params.guarantee()
+    }
+
+    fn cost(&self) -> SolverCost {
+        SolverCost::AccuracyExponential
+    }
+
+    fn solve_ctx(
+        &self,
+        inst: &Instance,
+        ctx: &SolveContext,
+    ) -> Result<SolveReport<SplittableSchedule>> {
+        Ok(run(inst, self.params, ctx)?.into_report(inst))
+    }
+}
+
+/// Runs the splittable PTAS, keeping the accepted guess beside the schedule.
+fn run(
     inst: &Instance,
     params: PtasParams,
     ctx: &SolveContext,
@@ -82,9 +113,9 @@ pub fn splittable_ptas_ctx(
     // e.g. one unit job on two machines; the `ccs-verify` certifier flags
     // that as a violation).  The grid stays short regardless: the
     // 2-approximation guarantees `ub / lb ≤ 4`.
-    let warm = splittable_two_approx_ctx(inst, ctx)?;
-    let ub = warm.schedule.makespan(inst);
-    let lb = warm.optimum_lower_bound();
+    let warm = SplittableTwoApprox.solve_ctx(inst, ctx)?;
+    let ub = warm.makespan;
+    let lb = warm.lower_bound;
     let delta = Rational::new(1, params.delta_inv as i128);
 
     // Geometric guess grid lb·(1+δ)^k, binary searched for the smallest
@@ -413,10 +444,15 @@ pub fn guarantee_bound(guess: Rational, params: PtasParams) -> Rational {
 mod tests {
     use super::*;
     use ccs_core::instance::instance_from_pairs;
+    use ccs_core::Schedule;
+
+    fn ptas(inst: &Instance, params: PtasParams) -> Result<PtasResult<SplittableSchedule>> {
+        run(inst, params, &SolveContext::unbounded())
+    }
 
     fn check(inst: &Instance, delta_inv: u64) -> PtasResult<SplittableSchedule> {
         let params = PtasParams::with_delta_inv(delta_inv).unwrap();
-        let res = splittable_ptas(inst, params).unwrap();
+        let res = ptas(inst, params).unwrap();
         res.schedule.validate(inst).unwrap();
         let mk = res.schedule.makespan(inst);
         assert!(
@@ -437,7 +473,7 @@ mod tests {
         ];
         let params = PtasParams::with_delta_inv(4).unwrap();
         for inst in &cases {
-            let cold = splittable_ptas_ctx(inst, params, &SolveContext::unbounded()).unwrap();
+            let cold = ptas(inst, params).unwrap();
             let hints = [
                 cold.guess,
                 cold.lower_bound,
@@ -449,7 +485,7 @@ mod tests {
                 let ctx = SolveContext::unbounded()
                     .with_stats(std::sync::Arc::clone(&sink))
                     .with_warm(ccs_core::WarmHint { makespan: hint });
-                let warm = splittable_ptas_ctx(inst, params, &ctx).unwrap();
+                let warm = run(inst, params, &ctx).unwrap();
                 // Bit-identical payload; only the probe counter may differ.
                 assert_eq!(warm.schedule, cold.schedule, "hint {hint}");
                 assert_eq!(warm.guess, cold.guess, "hint {hint}");
@@ -511,7 +547,7 @@ mod tests {
         let inst = instance_from_pairs(1000, 2, &[(5, 0)]).unwrap();
         let params = PtasParams::with_delta_inv(2).unwrap();
         assert!(matches!(
-            splittable_ptas(&inst, params),
+            ptas(&inst, params),
             Err(CcsError::InvalidParameter(_))
         ));
     }
@@ -520,7 +556,7 @@ mod tests {
     fn infeasible_instance_rejected() {
         let inst = instance_from_pairs(1, 1, &[(1, 0), (1, 1)]).unwrap();
         let params = PtasParams::with_delta_inv(2).unwrap();
-        assert!(splittable_ptas(&inst, params).is_err());
+        assert!(ptas(&inst, params).is_err());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! it through the bit-for-bit exact-consensus check and the guarantee audit.
 
 use ccs_core::solver::{Guarantee, SolveReport, SolveStats, Solver};
-use ccs_core::{Instance, NonPreemptiveSchedule, Result, Schedule, ScheduleKind};
+use ccs_core::{Instance, NonPreemptiveSchedule, Result, Schedule, ScheduleKind, SolveContext};
 use ccs_engine::{Engine, SolverRegistry};
 
 /// Registry name of the broken solver.
@@ -20,7 +20,9 @@ pub const BROKEN_SOLVER_NAME: &str = "broken-exact-nonpreemptive";
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BrokenExactNonPreemptive;
 
-impl Solver<NonPreemptiveSchedule> for BrokenExactNonPreemptive {
+impl Solver for BrokenExactNonPreemptive {
+    type Schedule = NonPreemptiveSchedule;
+
     fn name(&self) -> &'static str {
         BROKEN_SOLVER_NAME
     }
@@ -33,7 +35,12 @@ impl Solver<NonPreemptiveSchedule> for BrokenExactNonPreemptive {
         Guarantee::Exact // the lie the verifier must expose
     }
 
-    fn solve(&self, inst: &Instance) -> Result<SolveReport<NonPreemptiveSchedule>> {
+    fn solve_ctx(
+        &self,
+        inst: &Instance,
+        ctx: &SolveContext,
+    ) -> Result<SolveReport<NonPreemptiveSchedule>> {
+        ctx.checkpoint()?;
         if !inst.is_feasible() {
             return Err(ccs_core::CcsError::infeasible(
                 "more classes than class slots",

@@ -12,9 +12,10 @@
 //! The recommended entry point is the [`engine::Engine`]: one call for any
 //! placement model and accuracy budget, with automatic algorithm selection,
 //! asynchronous submission onto a persistent worker pool (deadlines and
-//! cancellation included) and parallel batch execution.  The per-crate free
-//! functions remain available for direct access to a specific algorithm, and
-//! the `ccs-serve` binary exposes the engine over newline-delimited JSON
+//! cancellation included) and parallel batch execution.  A specific
+//! algorithm is reached directly through its [`core::Solver`] impl (for
+//! example `ccs::approx::SplittableTwoApprox.solve(&inst)`), and the
+//! `ccs-serve` binary exposes the engine over newline-delimited JSON
 //! (`ccs-wire/1`).
 //!
 //! ```

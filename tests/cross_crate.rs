@@ -19,22 +19,17 @@ fn families(seed: u64, jobs: usize, machines: u64, classes: u32, slots: u64) -> 
 fn constant_factor_algorithms_respect_their_guarantees() {
     for seed in 0..5u64 {
         for inst in families(seed, 80, 8, 16, 3) {
-            let split = ccs::approx::splittable_two_approx(&inst).unwrap();
-            split.schedule.validate(&inst).unwrap();
-            assert!(
-                split.schedule.makespan(&inst)
-                    <= Rational::from_int(2) * split.optimum_lower_bound()
-            );
+            let split = ccs::approx::SplittableTwoApprox.solve(&inst).unwrap();
+            split.validate(&inst).unwrap();
+            assert!(split.makespan <= Rational::from_int(2) * split.lower_bound);
 
-            let pre = ccs::approx::preemptive_two_approx(&inst).unwrap();
-            pre.schedule.validate(&inst).unwrap();
-            assert!(
-                pre.schedule.makespan(&inst) <= Rational::from_int(2) * pre.optimum_lower_bound()
-            );
+            let pre = ccs::approx::PreemptiveTwoApprox.solve(&inst).unwrap();
+            pre.validate(&inst).unwrap();
+            assert!(pre.makespan <= Rational::from_int(2) * pre.lower_bound);
 
-            let np = ccs::approx::nonpreemptive_73_approx(&inst).unwrap();
-            np.schedule.validate(&inst).unwrap();
-            assert!(np.schedule.makespan(&inst) <= Rational::new(7, 3) * np.optimum_lower_bound());
+            let np = ccs::approx::Nonpreemptive73Approx.solve(&inst).unwrap();
+            np.validate(&inst).unwrap();
+            assert!(np.makespan <= Rational::new(7, 3) * np.lower_bound);
         }
     }
 }
@@ -43,13 +38,13 @@ fn constant_factor_algorithms_respect_their_guarantees() {
 fn nonpreemptive_approx_vs_exact_optimum_on_tiny_instances() {
     for seed in 0..30u64 {
         let inst = ccs_gen::tiny_random(seed);
-        let opt = match ccs::exact::nonpreemptive_optimum(&inst) {
-            Ok(opt) => opt,
+        let opt = match ccs::exact::ExactNonPreemptive.solve(&inst) {
+            Ok(report) => report.makespan,
             Err(_) => continue,
         };
-        let approx = ccs::approx::nonpreemptive_73_approx(&inst).unwrap();
+        let approx = ccs::approx::Nonpreemptive73Approx.solve(&inst).unwrap();
         assert!(
-            Rational::from(3 * approx.schedule.makespan_int(&inst)) <= Rational::from(7 * opt),
+            Rational::from_int(3) * approx.makespan <= Rational::from_int(7) * opt,
             "seed {seed}: ratio above 7/3"
         );
     }
@@ -63,14 +58,12 @@ fn ptas_beats_or_matches_constant_factor_on_small_instances() {
         if inst.machines() > 4 {
             continue;
         }
-        let approx = ccs::approx::splittable_two_approx(&inst).unwrap();
-        let ptas = ccs::ptas::splittable_ptas(&inst, params).unwrap();
-        ptas.schedule.validate(&inst).unwrap();
+        let approx = ccs::approx::SplittableTwoApprox.solve(&inst).unwrap();
+        let ptas = ccs::ptas::SplittablePtas::new(params).solve(&inst).unwrap();
+        ptas.validate(&inst).unwrap();
         // The PTAS never does worse than the schedule it warm-starts from by
         // more than its guarantee window.
-        assert!(
-            ptas.schedule.makespan(&inst) <= approx.schedule.makespan(&inst) * Rational::new(11, 4)
-        );
+        assert!(ptas.makespan <= approx.makespan * Rational::new(11, 4));
     }
 }
 
@@ -82,8 +75,8 @@ fn preemptive_ptas_produces_valid_timetables() {
         if inst.machines() >= inst.num_jobs() as u64 {
             continue;
         }
-        let res = ccs::ptas::preemptive_ptas(&inst, params).unwrap();
-        res.schedule.validate(&inst).unwrap();
+        let res = ccs::ptas::PreemptivePtas::new(params).solve(&inst).unwrap();
+        res.validate(&inst).unwrap();
     }
 }
 
@@ -92,9 +85,9 @@ fn baselines_are_dominated_by_paper_algorithms_on_skewed_instances() {
     // One dominant class: baselines cannot split it, the paper's splittable
     // algorithm can.
     let inst = ccs_gen::adversarial_round_robin(8, 50);
-    let baseline = ccs::baselines::whole_class_lpt(&inst).unwrap();
-    let split = ccs::approx::splittable_two_approx(&inst).unwrap();
-    assert!(split.schedule.makespan(&inst) < Rational::from(baseline.makespan_int(&inst)));
+    let baseline = ccs::baselines::WholeClassLpt.solve(&inst).unwrap();
+    let split = ccs::approx::SplittableTwoApprox.solve(&inst).unwrap();
+    assert!(split.makespan < baseline.makespan);
 }
 
 #[test]
@@ -106,9 +99,9 @@ fn exact_solvers_agree_with_bounds() {
             let pre = ccs::exact::preemptive_optimum(&inst).unwrap();
             assert!(pre >= opt);
         }
-        if let Ok(opt) = ccs::exact::nonpreemptive_optimum(&inst) {
+        if let Ok(report) = ccs::exact::ExactNonPreemptive.solve(&inst) {
             assert!(
-                Rational::from(opt)
+                report.makespan
                     >= ccs::exact::strong_lower_bound(&inst, ScheduleKind::NonPreemptive)
             );
         }
@@ -149,8 +142,8 @@ fn engine_batch_agrees_with_direct_algorithm_calls() {
     let batch = engine.solve_batch(&instances, &SolveRequest::auto(ScheduleKind::Splittable));
     for (inst, sol) in instances.iter().zip(batch) {
         let sol = sol.unwrap();
-        let direct = ccs::approx::splittable_two_approx(inst).unwrap();
+        let direct = ccs::approx::SplittableTwoApprox.solve(inst).unwrap();
         assert_eq!(sol.solver, "approx-splittable-2");
-        assert_eq!(sol.report.makespan, direct.schedule.makespan(inst));
+        assert_eq!(sol.report.makespan, direct.makespan);
     }
 }
