@@ -12,7 +12,6 @@ use ccs_core::{
     WarmHint,
 };
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
 
 /// The outcome of an engine call: which solver ran, under which guarantee,
 /// and its report.
@@ -250,35 +249,11 @@ impl Engine {
     /// Solves one instance synchronously on the calling thread, honouring
     /// the request's budget (counted from call entry) and validation policy.
     pub fn solve(&self, inst: &Instance, req: &SolveRequest) -> Result<Solution> {
-        self.solve_ctx(inst, req, &SolveContext::unbounded())
-    }
-
-    /// [`Engine::solve`] under a caller-supplied context; a request budget
-    /// tightens (never loosens) the context's deadline.
-    ///
-    /// A stats sink the caller attached to `ctx` is honoured (checkpoint
-    /// counts land there); the engine's own aggregate
-    /// ([`Engine::stats`]) still records the run either way.
-    pub fn solve_ctx(
-        &self,
-        inst: &Instance,
-        req: &SolveRequest,
-        ctx: &SolveContext,
-    ) -> Result<Solution> {
-        let ctx = contextualise(ctx, req);
-        let caller_sink = ctx.stats_sink().is_some();
-        let ctx = if caller_sink {
-            ctx
-        } else {
-            ctx.with_stats(self.core.stats())
-        };
-        let solution = self.core.execute(inst, req, &ctx)?;
-        // Mirror the run into the engine's own aggregate — unless it was a
-        // cache hit, where no solver ran (the original run was recorded).
-        if caller_sink && solution.cache != Some(CacheOutcome::Hit) {
-            self.core.stats().record(&solution.report.stats);
+        let mut ctx = SolveContext::unbounded().with_stats(self.core.stats());
+        if let Some(budget) = req.budget {
+            ctx = ctx.with_timeout(budget);
         }
-        Ok(solution)
+        self.core.execute(inst, req, &ctx)
     }
 
     /// Solves one instance with an explicitly named registered solver.
@@ -340,9 +315,7 @@ impl Engine {
     /// queued behind a full pool burn their budget waiting, exactly like
     /// requests arriving together at a loaded service.
     ///
-    /// Instances are copied into `Arc`s for the workers; callers that
-    /// already hold `Arc<Instance>`s can avoid the copy with
-    /// [`Engine::solve_batch_arc`].
+    /// Instances are copied into `Arc`s for the workers.
     ///
     /// On a cache-enabled engine ([`Engine::with_cache`]) duplicate
     /// instances within the batch are deduplicated: the cache's
@@ -355,22 +328,9 @@ impl Engine {
     /// numbering (equal makespan; tie-breaks may differ from a direct
     /// solve).
     pub fn solve_batch(&self, instances: &[Instance], req: &SolveRequest) -> Vec<Result<Solution>> {
-        let shared: Vec<Arc<Instance>> = instances.iter().cloned().map(Arc::new).collect();
-        self.solve_batch_arc(&shared, req)
-    }
-
-    /// [`Engine::solve_batch`] over pre-shared instances (no data copies).
-    pub fn solve_batch_arc(
-        &self,
-        instances: &[Arc<Instance>],
-        req: &SolveRequest,
-    ) -> Vec<Result<Solution>> {
-        if instances.is_empty() {
-            return Vec::new();
-        }
         let handles: Vec<SolveHandle> = instances
             .iter()
-            .map(|inst| self.submit(Arc::clone(inst), req))
+            .map(|inst| self.submit(inst.clone(), req))
             .collect();
         handles.into_iter().map(SolveHandle::wait).collect()
     }
@@ -396,22 +356,6 @@ impl Engine {
 
     fn pool(&self) -> &WorkerPool {
         self.pool.get_or_init(|| WorkerPool::new(self.worker_count))
-    }
-}
-
-/// Merges a request budget into a caller context: the effective deadline is
-/// the earlier of the two.
-fn contextualise(ctx: &SolveContext, req: &SolveRequest) -> SolveContext {
-    match req.budget {
-        None => ctx.clone(),
-        Some(budget) => {
-            let from_budget = Instant::now() + budget;
-            let deadline = match ctx.deadline() {
-                Some(existing) => existing.min(from_budget),
-                None => from_budget,
-            };
-            ctx.clone().with_deadline(deadline)
-        }
     }
 }
 

@@ -101,7 +101,7 @@ fn replay(requests: &str) -> String {
 /// --ordered` replays).
 #[test]
 fn every_golden_replays_byte_exact_through_a_connection() {
-    for name in ["serve", "serve-error", "session"] {
+    for name in ["serve", "serve-error", "session", "ptas"] {
         let produced = replay(&fixture(&format!("{name}-requests.ndjson")));
         assert_eq!(
             produced,

@@ -9,13 +9,13 @@ use ccs_core::{Result, SolveContext};
 
 /// A configuration: a non-increasing multiset of module sizes.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Config {
+pub(crate) struct Config {
     /// Module sizes in units of `δ²T`, non-increasing.
-    pub parts: Vec<u64>,
+    pub(crate) parts: Vec<u64>,
     /// `Λ(K) = Σ parts` — the configuration size.
-    pub total: u64,
+    pub(crate) total: u64,
     /// `‖K‖₁` — the number of modules (class slots used).
-    pub count: u64,
+    pub(crate) count: u64,
 }
 
 impl Config {
@@ -30,13 +30,13 @@ impl Config {
     }
 
     /// Number of modules of size `q` in this configuration.
-    pub fn multiplicity(&self, q: u64) -> u64 {
+    pub(crate) fn multiplicity(&self, q: u64) -> u64 {
         self.parts.iter().filter(|&&p| p == q).count() as u64
     }
 
     /// The group `(h, b) = (Λ(K), ‖K‖₁)` of this configuration, used for the
     /// small-class constraints (2) and (3) of the paper.
-    pub fn group(&self) -> (u64, u64) {
+    pub(crate) fn group(&self) -> (u64, u64) {
         (self.total, self.count)
     }
 }
@@ -45,15 +45,10 @@ impl Config {
 /// (each usable any number of times), total at most `max_total` and at most
 /// `max_count` parts.  The empty configuration is included — machines may
 /// stay (partially) empty and are then available for small classes.
-pub fn enumerate_configs(sizes: &[u64], max_total: u64, max_count: u64) -> Vec<Config> {
-    enumerate_configs_ctx(sizes, max_total, max_count, &SolveContext::unbounded())
-        .expect("unbounded context never interrupts the enumeration")
-}
-
-/// [`enumerate_configs`] under an execution context: the enumeration is
-/// exponential in `1/δ`, so deadlines must be able to interrupt it before
-/// any ILP is even built.
-pub fn enumerate_configs_ctx(
+///
+/// The enumeration is exponential in `1/δ`, so it polls `ctx`: a deadline
+/// can interrupt it before any ILP is even built.
+pub(crate) fn enumerate_configs_ctx(
     sizes: &[u64],
     max_total: u64,
     max_count: u64,
@@ -163,6 +158,10 @@ fn recurse(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn enumerate_configs(sizes: &[u64], max_total: u64, max_count: u64) -> Vec<Config> {
+        enumerate_configs_ctx(sizes, max_total, max_count, &SolveContext::unbounded()).unwrap()
+    }
 
     #[test]
     fn small_enumeration_is_exhaustive() {

@@ -1,12 +1,13 @@
-//! The shared guess-grid search: a multiway (parallel) variant of the
-//! binary search for the smallest feasible makespan guess.
+//! The guess search every scheme runs: a geometric grid of makespan guesses
+//! between the constant-factor lower and upper bound, searched for the
+//! smallest guess the scheme's decision procedure accepts.
 //!
-//! All three PTAS pipelines build a geometric grid `lb·(1+δ)^k` and look for
-//! the smallest index whose `decide` procedure accepts.  A plain binary
-//! search is inherently sequential — each probe depends on the previous
-//! verdict — so this module probes [`ARITY`] evenly spaced indices per round
-//! through [`par_map_ctx`] and narrows to the sub-interval between the last
-//! rejecting and the first accepting probe.
+//! [`search`] builds the grid `lb·(1+δ)^k` up to the constant-factor
+//! makespan and hands it to a multiway (parallel) variant of binary search.
+//! A plain binary search is inherently sequential — each probe depends on
+//! the previous verdict — so [`smallest_accepted`] probes [`ARITY`] evenly
+//! spaced indices per round through [`par_map_ctx`] and narrows to the
+//! sub-interval between the last rejecting and the first accepting probe.
 //!
 //! Determinism: the probe set of every round is a pure function of the
 //! current interval — never of the thread count or of probe timing — and the
@@ -15,8 +16,88 @@
 //! and return bit-identical results (including the `guesses_evaluated`
 //! count), which the `ccs-verify` mode-equivalence pass asserts wholesale.
 
+use crate::params::PtasParams;
+use crate::result::PtasResult;
 use ccs_core::par::par_map_ctx;
-use ccs_core::{Rational, Result, SolveContext};
+use ccs_core::{CcsError, Instance, Rational, Result, SolveContext, SolveReport};
+
+/// Practical limit on the number of machines: the configuration ILP branches
+/// on per-configuration counts up to `m`.  Larger machine counts are served
+/// by the constant-factor algorithms of `ccs-approx`, which handle
+/// exponentially many machines.
+pub(crate) const MAX_MACHINES: u64 = 64;
+
+/// The input checks every scheme makes before its constant-factor warm
+/// start: enough class slots for every class, and at most [`MAX_MACHINES`].
+pub(crate) fn check_input(inst: &Instance, scheme: &str) -> Result<()> {
+    if !inst.is_feasible() {
+        return Err(CcsError::infeasible("more classes than class slots"));
+    }
+    if inst.machines() > MAX_MACHINES {
+        return Err(CcsError::invalid_parameter(format!(
+            "{scheme} PTAS supports at most {MAX_MACHINES} machines; use ccs-approx for larger m"
+        )));
+    }
+    Ok(())
+}
+
+/// Searches the guess grid of one scheme run.
+///
+/// `warm` is the constant-factor report: its makespan ends the grid and its
+/// schedule is the answer when no guess is accepted (the ILP may exhaust its
+/// node budget).  `lb` is the scheme's lower bound on the optimum and starts
+/// the grid.  `decide` evaluates one guess and returns its certificate;
+/// `finish` turns the smallest accepted guess's certificate into the
+/// schedule plus its configuration count, so a scheme whose decision
+/// already builds the schedule passes it through, and one that does not
+/// builds it for the winner only.
+///
+/// When the constant-factor makespan is at most `lb`, its schedule is
+/// optimal and the grid is the single point `lb`: nothing is evaluated.
+pub(crate) fn search<S, C: Send>(
+    ctx: &SolveContext,
+    params: PtasParams,
+    warm: SolveReport<S>,
+    lb: Rational,
+    decide: impl Fn(Rational) -> Result<Option<C>> + Sync,
+    finish: impl FnOnce(Rational, C) -> (S, usize),
+) -> Result<PtasResult<S>> {
+    let ub = warm.makespan;
+    let fallback = |guesses_evaluated| PtasResult {
+        schedule: warm.schedule,
+        guess: ub,
+        lower_bound: lb,
+        guesses_evaluated,
+        configurations: 0,
+    };
+    if ub <= lb {
+        return Ok(fallback(0));
+    }
+    let step = Rational::ONE + Rational::new(1, params.delta_inv() as i128);
+    let mut grid = vec![lb];
+    while *grid.last().unwrap() < ub {
+        let next = *grid.last().unwrap() * step;
+        grid.push(next);
+    }
+    let cutoff = ctx
+        .warm_hint()
+        .map(|hint| warm_cutoff(&grid, hint.makespan));
+    let (best, evaluated) =
+        smallest_accepted_hinted(ctx, grid.len(), cutoff, |index| decide(grid[index]))?;
+    Ok(match best {
+        Some((index, certificate)) => {
+            let (schedule, configurations) = finish(grid[index], certificate);
+            PtasResult {
+                schedule,
+                guess: grid[index],
+                lower_bound: lb,
+                guesses_evaluated: evaluated,
+                configurations,
+            }
+        }
+        None => fallback(evaluated),
+    })
+}
 
 /// Probes per round.  With at least this many workers every round costs one
 /// probe's latency; the interval shrinks by ~`1/(ARITY - 1)` per round.
@@ -30,7 +111,7 @@ const ARITY: usize = 4;
 /// index rejects — plus the number of evaluated probes.  `evaluate` runs
 /// under [`par_map_ctx`], so it must be thread-safe and should poll the
 /// context itself if a single probe can be slow.
-pub(crate) fn smallest_accepted<C, F>(
+fn smallest_accepted<C, F>(
     ctx: &SolveContext,
     len: usize,
     evaluate: F,
@@ -99,7 +180,7 @@ where
 /// grid point at or above the parent makespan `hint`, plus one step of slack
 /// (a mutation usually moves the optimum by at most a grid step), clamped
 /// into the grid.
-pub(crate) fn warm_cutoff(grid: &[Rational], hint: Rational) -> usize {
+fn warm_cutoff(grid: &[Rational], hint: Rational) -> usize {
     let at = grid.partition_point(|&g| g < hint);
     (at + 1).min(grid.len().saturating_sub(1))
 }
@@ -120,7 +201,7 @@ pub(crate) fn warm_cutoff(grid: &[Rational], hint: Rational) -> usize {
 /// Records the outcome on `ctx`: a warm *hit* when the prefix produced the
 /// winner, a *miss* when the hint did not narrow the grid or the search had
 /// to fall through to the remainder.
-pub(crate) fn smallest_accepted_hinted<C, F>(
+fn smallest_accepted_hinted<C, F>(
     ctx: &SolveContext,
     len: usize,
     cutoff: Option<usize>,

@@ -16,7 +16,7 @@ const CTX_CHECK_MASK: usize = 0xFF;
 
 /// Comparison of a linear constraint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Cmp {
+enum Cmp {
     /// `Σ aᵢ xᵢ = rhs`
     Eq,
     /// `Σ aᵢ xᵢ ≤ rhs`
@@ -32,15 +32,15 @@ struct Constraint {
 
 /// A bounded-integer feasibility program.
 #[derive(Debug, Clone, Default)]
-pub struct IntProgram {
+pub(crate) struct IntProgram {
     lower: Vec<i64>,
     upper: Vec<i64>,
     constraints: Vec<Constraint>,
 }
 
-/// Outcome of [`IntProgram::solve`].
+/// Outcome of [`IntProgram::solve_ctx`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum IlpOutcome {
+pub(crate) enum IlpOutcome {
     /// A feasible assignment (indexed by variable).
     Feasible(Vec<i64>),
     /// Proven infeasible.
@@ -51,13 +51,13 @@ pub enum IlpOutcome {
 
 impl IntProgram {
     /// Creates an empty program.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Adds a variable with inclusive bounds `[lower, upper]`, returning its
     /// index.
-    pub fn add_var(&mut self, lower: i64, upper: i64) -> usize {
+    pub(crate) fn add_var(&mut self, lower: i64, upper: i64) -> usize {
         assert!(lower <= upper, "empty variable domain");
         self.lower.push(lower);
         self.upper.push(upper);
@@ -65,17 +65,17 @@ impl IntProgram {
     }
 
     /// Number of variables.
-    pub fn num_vars(&self) -> usize {
+    fn num_vars(&self) -> usize {
         self.lower.len()
     }
 
     /// Adds `Σ aᵢ xᵢ = rhs`.
-    pub fn add_eq(&mut self, terms: Vec<(usize, i64)>, rhs: i64) {
+    pub(crate) fn add_eq(&mut self, terms: Vec<(usize, i64)>, rhs: i64) {
         self.add(terms, Cmp::Eq, rhs);
     }
 
     /// Adds `Σ aᵢ xᵢ ≤ rhs`.
-    pub fn add_le(&mut self, terms: Vec<(usize, i64)>, rhs: i64) {
+    pub(crate) fn add_le(&mut self, terms: Vec<(usize, i64)>, rhs: i64) {
         self.add(terms, Cmp::Le, rhs);
     }
 
@@ -87,17 +87,11 @@ impl IntProgram {
         self.constraints.push(Constraint { terms, cmp, rhs });
     }
 
-    /// Solves the program with the given node budget.
-    pub fn solve(&self, max_nodes: usize) -> IlpOutcome {
-        self.solve_ctx(max_nodes, &SolveContext::unbounded())
-            .expect("unbounded context never interrupts the search")
-    }
-
-    /// [`IntProgram::solve`] under an execution context: the DFS polls `ctx`
+    /// Solves the program with the given node budget.  The DFS polls `ctx`
     /// every few hundred nodes and aborts with
     /// [`ccs_core::CcsError::DeadlineExceeded`] /
     /// [`ccs_core::CcsError::Cancelled`] when its budget runs out.
-    pub fn solve_ctx(&self, max_nodes: usize, ctx: &SolveContext) -> Result<IlpOutcome> {
+    pub(crate) fn solve_ctx(&self, max_nodes: usize, ctx: &SolveContext) -> Result<IlpOutcome> {
         let mut lower = self.lower.clone();
         let mut upper = self.upper.clone();
         let mut nodes = 0usize;
@@ -293,6 +287,10 @@ fn div_ceil(a: i64, b: i64) -> i64 {
 mod tests {
     use super::*;
 
+    fn solve(p: &IntProgram, max_nodes: usize) -> IlpOutcome {
+        p.solve_ctx(max_nodes, &SolveContext::unbounded()).unwrap()
+    }
+
     #[test]
     fn simple_equation() {
         let mut p = IntProgram::new();
@@ -300,7 +298,7 @@ mod tests {
         let y = p.add_var(0, 10);
         p.add_eq(vec![(x, 1), (y, 2)], 7);
         p.add_le(vec![(x, 1)], 2);
-        match p.solve(10_000) {
+        match solve(&p, 10_000) {
             IlpOutcome::Feasible(sol) => {
                 assert!(sol[x] <= 2);
                 assert_eq!(sol[x] + 2 * sol[y], 7);
@@ -315,7 +313,7 @@ mod tests {
         let x = p.add_var(0, 3);
         let y = p.add_var(0, 3);
         p.add_eq(vec![(x, 2), (y, 2)], 7); // odd rhs, even lhs
-        assert_eq!(p.solve(10_000), IlpOutcome::Infeasible);
+        assert_eq!(solve(&p, 10_000), IlpOutcome::Infeasible);
     }
 
     #[test]
@@ -327,7 +325,7 @@ mod tests {
         for w in vars.windows(2) {
             p.add_eq(vec![(w[0], 1), (w[1], -1)], 1);
         }
-        match p.solve(100) {
+        match solve(&p, 100) {
             IlpOutcome::Feasible(sol) => {
                 assert_eq!(sol[vars[5]], 0);
             }
@@ -342,7 +340,7 @@ mod tests {
         let y = p.add_var(0, 10);
         p.add_eq(vec![(x, 3), (y, -2)], 4);
         p.add_le(vec![(x, -1), (y, -1)], -5); // x + y >= 5
-        match p.solve(10_000) {
+        match solve(&p, 10_000) {
             IlpOutcome::Feasible(sol) => {
                 assert_eq!(3 * sol[x] - 2 * sol[y], 4);
                 assert!(sol[x] + sol[y] >= 5);
@@ -359,7 +357,7 @@ mod tests {
         // space: Σ 7·x_i = 5 is infeasible and propagation sees it quickly,
         // so use a harder one: Σ (2 x_i) = 13.
         p.add_eq(vars.iter().map(|&v| (v, 2)).collect(), 13);
-        assert_eq!(p.solve(1_000_000), IlpOutcome::Infeasible);
+        assert_eq!(solve(&p, 1_000_000), IlpOutcome::Infeasible);
         // With an extremely small budget the solver may give up on a
         // *feasible* cousin instead of wrongly claiming infeasibility.
         let mut q = IntProgram::new();
@@ -368,7 +366,7 @@ mod tests {
             q.add_le(vec![(w[0], 1), (w[1], 1)], 1);
         }
         q.add_eq(vars.iter().map(|&v| (v, 1)).collect(), 15);
-        match q.solve(3) {
+        match solve(&q, 3) {
             IlpOutcome::Unknown | IlpOutcome::Feasible(_) => {}
             IlpOutcome::Infeasible => panic!("must not claim infeasibility under budget"),
         }
@@ -402,7 +400,7 @@ mod tests {
         let c = p.add_var(0, 4);
         p.add_eq(vec![(a, 5), (b, 3), (c, 2)], 16);
         p.add_le(vec![(a, 1), (b, 1), (c, 1)], 5);
-        match p.solve(10_000) {
+        match solve(&p, 10_000) {
             IlpOutcome::Feasible(sol) => {
                 assert_eq!(5 * sol[a] + 3 * sol[b] + 2 * sol[c], 16);
                 assert!(sol[a] + sol[b] + sol[c] <= 5);

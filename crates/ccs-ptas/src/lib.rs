@@ -2,17 +2,28 @@
 //!
 //! Implementation of Section 4 of "Approximation Algorithms for Scheduling
 //! with Class Constraints" (Jansen, Lassota, Maack; SPAA 2020): for every
-//! placement model a `(1 + O(δ))`-approximation obtained by
+//! placement model a `(1 + O(δ))`-approximation.  The three schemes run one
+//! pipeline and differ only where the paper's models do:
 //!
-//! 1. guessing the makespan `T` (geometric binary search),
-//! 2. simplifying the instance so that every class is either *small* (one job
-//!    of size ≤ δT) or *large* (every job > δT) and rounding processing times
-//!    to multiples of `δ²T` (Section 4 preprocessing),
-//! 3. deciding whether a *well-structured* schedule with makespan
-//!    `T̄ = (1+O(δ))T` exists via the configuration integer program of the
-//!    paper (modules / configurations / small-class groups), and
-//! 4. turning the certificate back into an actual schedule (greedy slot
-//!    filling plus round robin for the small classes).
+//! 1. **Guess** the makespan `T` on the grid `lb·(1+δ)^k` between the
+//!    constant-factor algorithm's lower bound and makespan, searched for the
+//!    smallest accepted guess (`grid`).  When the constant-factor makespan
+//!    already meets the lower bound, its schedule is optimal and no guess is
+//!    evaluated.
+//! 2. **Simplify** the instance so that every class is either *small* (one
+//!    job of size ≤ δT) or *large* (every job > δT) and round processing
+//!    times to multiples of `δ²T` (Section 4 preprocessing, `scale`).
+//! 3. **Decide** whether a *well-structured* schedule with makespan
+//!    `T̄ = (1+O(δ))T` exists via the configuration integer program (0)–(5)
+//!    of the paper (`config_ilp`).  What a module is, and constraint (4),
+//!    are the only model-specific parts: one module size per column in the
+//!    splittable and preemptive cases, one multiset of rounded job sizes in
+//!    the non-preemptive case.
+//! 4. **Unfold** the certificate into a schedule: machines from the
+//!    configuration counts, modules into open slots, and the small classes
+//!    round robin within their group.  The preemptive scheme serialises the
+//!    splittable schedule with an open-shop timetable; the non-preemptive one
+//!    dissolves modules into jobs.
 //!
 //! ## Solving the configuration ILP
 //!
@@ -23,10 +34,9 @@
 //! (the per-class duplication of configuration variables in the paper exists
 //! only to obtain the N-fold shape and carries no information — see Lemma 9,
 //! which sets all duplicates except one to zero) with an exact
-//! depth-first-search solver with interval propagation ([`ilp`]).  The
-//! faithful N-fold can still be materialised via [`nfold_build`] and is
-//! cross-checked in tests: every certificate found by the aggregated solver is
-//! converted into a feasible solution of the paper's N-fold.
+//! depth-first-search solver with interval propagation (`ilp`).  The
+//! crate's tests build the faithful splittable N-fold of the paper and check
+//! that the certificates of accepted guesses map to feasible points of it.
 //!
 //! The running time therefore remains exponential in `1/δ` (as any PTAS must
 //! be) and practical only for coarse `δ`; the benchmark harness documents the
@@ -41,9 +51,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-/// The constructors shared by the three scheme solvers.
-macro_rules! ptas_common {
-    ($ty:ident) => {
+/// The solver surface the three schemes share: constructors, the default
+/// accuracy, and the [`ccs_core::Solver`] impl, which runs the scheme
+/// module's own `run` at the solver's accuracy.
+macro_rules! ptas_solver {
+    ($ty:ident, $schedule:ty, $name:literal, $kind:ident) => {
         impl $ty {
             /// Creates the solver with the given accuracy parameters.
             pub fn new(params: PtasParams) -> Self {
@@ -59,27 +71,58 @@ macro_rules! ptas_common {
         impl Default for $ty {
             /// Defaults to `1/δ = 4`, a coarse but fast accuracy level.
             fn default() -> Self {
-                Self::new(PtasParams { delta_inv: 4 })
+                Self::new(PtasParams::with_delta_inv(4).expect("1/δ = 4 is valid"))
+            }
+        }
+
+        impl ccs_core::Solver for $ty {
+            type Schedule = $schedule;
+
+            fn name(&self) -> &'static str {
+                $name
+            }
+
+            fn kind(&self) -> ccs_core::ScheduleKind {
+                ccs_core::ScheduleKind::$kind
+            }
+
+            fn guarantee(&self) -> ccs_core::Guarantee {
+                self.params.guarantee()
+            }
+
+            fn cost(&self) -> ccs_core::SolverCost {
+                ccs_core::SolverCost::AccuracyExponential
+            }
+
+            fn solve_ctx(
+                &self,
+                inst: &ccs_core::Instance,
+                ctx: &ccs_core::SolveContext,
+            ) -> ccs_core::Result<ccs_core::SolveReport<$schedule>> {
+                Ok(run(inst, self.params, ctx)?.into_report(inst))
             }
         }
     };
 }
 
-pub mod config;
+mod config;
+mod config_ilp;
 mod grid;
-pub mod ilp;
-pub mod nfold_build;
-pub mod nonpreemptive;
-pub mod params;
-pub mod preemptive;
+mod ilp;
+mod nonpreemptive;
+mod params;
+mod preemptive;
 mod result;
-pub mod scale;
-pub mod splittable;
+mod scale;
+mod splittable;
 
 pub use nonpreemptive::NonpreemptivePtas;
 pub use params::PtasParams;
 pub use preemptive::PreemptivePtas;
 pub use splittable::SplittablePtas;
+
+#[cfg(test)]
+mod nfold_build;
 
 #[cfg(test)]
 mod tests {
@@ -100,6 +143,48 @@ mod tests {
         let params = PtasParams::with_delta_inv(2).unwrap();
         let report = SplittablePtas::new(params).solve(&inst).unwrap();
         report.validate(&inst).unwrap();
+    }
+
+    /// When the constant-factor makespan meets the scheme's lower bound the
+    /// guess grid is the single point `lb`: the constant-factor schedule is
+    /// optimal and comes back untouched, with no guess evaluated.
+    #[test]
+    fn one_point_grids_return_the_constant_factor_schedule() {
+        let params = PtasParams::with_delta_inv(2).unwrap();
+        let split = instance_from_pairs(2, 1, &[(6, 0), (1, 0), (5, 1)]).unwrap();
+        let warm = ccs_approx::SplittableTwoApprox.solve(&split).unwrap();
+        let report = SplittablePtas::new(params).solve(&split).unwrap();
+        assert_eq!(warm.makespan, warm.lower_bound);
+        assert_eq!(report.schedule, warm.schedule);
+        assert_eq!(report.makespan, warm.makespan);
+        assert_eq!(report.lower_bound, warm.lower_bound);
+        assert_eq!(
+            (report.stats.guesses_evaluated, report.stats.configurations),
+            (0, 0)
+        );
+
+        let pre = instance_from_pairs(2, 1, &[(6, 0), (3, 1), (5, 0)]).unwrap();
+        let warm = ccs_approx::PreemptiveTwoApprox.solve(&pre).unwrap();
+        let report = PreemptivePtas::new(params).solve(&pre).unwrap();
+        assert_eq!(report.schedule, warm.schedule);
+        assert_eq!(report.makespan, Rational::from_int(11)); // class 0 alone on a machine
+        assert_eq!(report.lower_bound, report.makespan);
+        assert_eq!(
+            (report.stats.guesses_evaluated, report.stats.configurations),
+            (0, 0)
+        );
+
+        let jobs = [(2, 1), (16, 0), (11, 1), (25, 0), (27, 1), (1, 1)];
+        let np = instance_from_pairs(3, 1, &jobs).unwrap();
+        let warm = ccs_approx::Nonpreemptive73Approx.solve(&np).unwrap();
+        let report = NonpreemptivePtas::new(params).solve(&np).unwrap();
+        assert_eq!(report.schedule, warm.schedule);
+        assert_eq!(report.makespan, Rational::from_int(41)); // a class of load 41 alone
+        assert_eq!(report.lower_bound, report.makespan);
+        assert_eq!(
+            (report.stats.guesses_evaluated, report.stats.configurations),
+            (0, 0)
+        );
     }
 
     #[test]

@@ -1,16 +1,18 @@
-//! Materialisation of the paper's N-fold ILP for the splittable case.
+//! Materialisation of the paper's N-fold ILP for the splittable case, built
+//! for tests only.
 //!
 //! The PTASs in this crate solve the *aggregated* configuration ILP (see the
 //! crate documentation); this module builds the corresponding N-fold program
 //! exactly as written in Section 4.1 of the paper — one brick per class with
 //! duplicated configuration variables — so that its block structure and
-//! parameters (`r`, `s`, `t`, `Δ`) can be inspected, reported by the benchmark
-//! harness and cross-checked against the `nfold` crate's validation.
+//! parameters (`r`, `s`, `t`, `Δ`) can be inspected, and so that the
+//! certificates the aggregated solver accepts can be checked against it
+//! (Lemma 9).
 
-use crate::config::Config;
+use crate::config::{enumerate_configs_ctx, Config};
 use crate::params::PtasParams;
 use crate::scale::GuessScale;
-use ccs_core::{Instance, Rational};
+use ccs_core::{Instance, Rational, SolveContext};
 use nfold::NFold;
 
 /// Builds the splittable-case N-fold of the paper for a guess `T`.
@@ -19,12 +21,22 @@ use nfold::NFold;
 /// `x^u_K` for every configuration, `y^u_q` for every module size, `z^u_{h,b}`
 /// for every group, plus two slack columns per group turning constraints (2)
 /// and (3) into equalities.
-pub fn build_splittable_nfold(inst: &Instance, guess: Rational, params: PtasParams) -> NFold {
+pub(crate) fn build_splittable_nfold(
+    inst: &Instance,
+    guess: Rational,
+    params: PtasParams,
+) -> NFold {
     let scale = GuessScale::new(guess, params);
     let c_eff = inst.effective_class_slots() as i64;
     let c_star = (c_eff as u64).min(scale.tbar_units / scale.delta_inv);
     let module_sizes: Vec<u64> = (scale.delta_inv..=scale.tbar_units).collect();
-    let configs = crate::config::enumerate_configs(&module_sizes, scale.tbar_units, c_star);
+    let configs = enumerate_configs_ctx(
+        &module_sizes,
+        scale.tbar_units,
+        c_star,
+        &SolveContext::unbounded(),
+    )
+    .unwrap();
     let mut groups: Vec<(u64, u64)> = configs.iter().map(Config::group).collect();
     groups.sort_unstable();
     groups.dedup();
@@ -117,6 +129,7 @@ pub fn build_splittable_nfold(inst: &Instance, guess: Rational, params: PtasPara
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config_ilp::Certificate;
     use ccs_core::instance::instance_from_pairs;
 
     #[test]
@@ -132,6 +145,74 @@ mod tests {
         assert!(nf.r >= 1);
         assert!(nf.t > nf.r);
         assert!(nf.delta() >= 1);
+    }
+
+    /// Lemma 9: a certificate of the aggregated ILP is a feasible point of
+    /// the paper's N-fold once its configuration counts sit in brick 0, each
+    /// class's module counts and group choice in its own brick, and the
+    /// slacks of (2) and (3) in brick 0.
+    fn nfold_point(nf: &NFold, cert: &Certificate) -> Vec<i64> {
+        let (k, q) = (cert.configs.len(), cert.columns.len());
+        let mut groups: Vec<(u64, u64)> = cert.configs.iter().map(Config::group).collect();
+        groups.sort_unstable();
+        groups.dedup();
+        let g = groups.len();
+        assert_eq!(nf.t, k + q + 3 * g, "brick layout");
+        let mut x = vec![0i64; nf.num_vars()];
+        for (ki, &count) in cert.config_counts.iter().enumerate() {
+            x[ki] = count as i64;
+        }
+        for (class, counts) in &cert.large {
+            for (qi, &count) in counts.iter().enumerate() {
+                x[class * nf.t + k + qi] = count as i64;
+            }
+        }
+        for &(class, group) in &cert.small {
+            let gi = groups.binary_search(&group).unwrap();
+            x[class * nf.t + k + q + gi] = 1;
+        }
+        let top = nf.top_product(&x);
+        for gi in 0..g {
+            x[k + q + g + gi] = -top[1 + q + gi];
+            x[k + q + 2 * g + gi] = -top[1 + q + g + gi];
+        }
+        x
+    }
+
+    #[test]
+    fn accepted_certificates_are_feasible_nfold_points() {
+        let cases = [
+            instance_from_pairs(2, 2, &[(12, 0), (6, 1), (2, 2)]).unwrap(),
+            instance_from_pairs(4, 2, &[(7, 0), (8, 0), (9, 1), (5, 2), (3, 3)]).unwrap(),
+            instance_from_pairs(3, 2, &[(9, 0), (7, 0), (5, 1), (4, 2), (3, 3), (8, 4)]).unwrap(),
+            instance_from_pairs(3, 2, &[(20, 0), (1, 1), (2, 2), (1, 3), (15, 4)]).unwrap(),
+        ];
+        let ctx = SolveContext::unbounded();
+        let (mut large, mut small) = (0, 0);
+        for inst in &cases {
+            for delta_inv in [2, 3] {
+                let params = PtasParams::with_delta_inv(delta_inv).unwrap();
+                let res = crate::splittable::run(inst, params, &ctx).unwrap();
+                assert!(
+                    res.guesses_evaluated > 0,
+                    "a one-point grid has no certificate"
+                );
+                let cert = crate::splittable::decide_ctx(inst, res.guess, params, &ctx)
+                    .unwrap()
+                    .expect("the winning guess is accepted");
+                let nf = build_splittable_nfold(inst, res.guess, params);
+                let x = nfold_point(&nf, &cert);
+                assert_eq!(
+                    nf.check(&x),
+                    Ok(()),
+                    "1/δ = {delta_inv}, guess {}",
+                    res.guess
+                );
+                large += cert.large.len();
+                small += cert.small.len();
+            }
+        }
+        assert!(large > 0 && small > 0, "both kinds of class are exercised");
     }
 
     #[test]

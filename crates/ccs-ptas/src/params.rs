@@ -7,11 +7,16 @@ use ccs_core::{CcsError, Guarantee, Rational, Result};
 /// The schemes guarantee a makespan of at most `(1 + O(δ)) · opt(I)`, with the
 /// constant in the `O(δ)` bounded by 8 for every case implemented here, and a
 /// running time exponential in `1/δ`.  `1/δ` must be an integer (as in the
-/// paper).
+/// paper) of at least 2, so the only ways to build parameters are the
+/// validating constructors; a struct literal does not compile:
+///
+/// ```compile_fail
+/// let params = ccs_ptas::PtasParams { delta_inv: 0 };
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PtasParams {
     /// `1/δ` (at least 2).
-    pub delta_inv: u64,
+    delta_inv: u64,
 }
 
 impl PtasParams {

@@ -12,19 +12,17 @@
 //! `max(machine loads, p_max) ≤ T̄ + δT` and never runs a job in parallel with
 //! itself, which is exactly the guarantee the paper's construction provides.
 
+use crate::config_ilp::Certificate;
+use crate::grid::{check_input, search};
 use crate::params::PtasParams;
 use crate::result::PtasResult;
 use crate::scale::GuessScale;
 use crate::splittable::decide_ctx;
 use ccs_approx::PreemptiveTwoApprox;
-use ccs_core::solver::{Guarantee, SolveReport, Solver, SolverCost};
 use ccs_core::{
-    bounds, CcsError, Instance, PreemptivePiece, PreemptiveSchedule, Rational, Result, Schedule,
-    ScheduleKind, SolveContext,
+    bounds, Instance, PreemptivePiece, PreemptiveSchedule, Rational, Result, Schedule,
+    SolveContext, Solver,
 };
-
-/// Practical limit on the number of machines (see the splittable PTAS).
-pub const MAX_MACHINES: u64 = 64;
 
 /// The preemptive PTAS (Theorem 19) at the accuracy of its [`PtasParams`]
 /// (the context is polled per guess and inside the configuration-ILP
@@ -34,35 +32,12 @@ pub struct PreemptivePtas {
     params: PtasParams,
 }
 
-ptas_common!(PreemptivePtas);
-
-impl Solver for PreemptivePtas {
-    type Schedule = PreemptiveSchedule;
-
-    fn name(&self) -> &'static str {
-        "ptas-preemptive"
-    }
-
-    fn kind(&self) -> ScheduleKind {
-        ScheduleKind::Preemptive
-    }
-
-    fn guarantee(&self) -> Guarantee {
-        self.params.guarantee()
-    }
-
-    fn cost(&self) -> SolverCost {
-        SolverCost::AccuracyExponential
-    }
-
-    fn solve_ctx(
-        &self,
-        inst: &Instance,
-        ctx: &SolveContext,
-    ) -> Result<SolveReport<PreemptiveSchedule>> {
-        Ok(run(inst, self.params, ctx)?.into_report(inst))
-    }
-}
+ptas_solver!(
+    PreemptivePtas,
+    PreemptiveSchedule,
+    "ptas-preemptive",
+    Preemptive
+);
 
 /// Runs the preemptive PTAS, keeping the accepted guess beside the schedule.
 fn run(
@@ -71,12 +46,10 @@ fn run(
     ctx: &SolveContext,
 ) -> Result<PtasResult<PreemptiveSchedule>> {
     ctx.checkpoint()?;
-    if !inst.is_feasible() {
-        return Err(CcsError::infeasible("more classes than class slots"));
-    }
     let n = inst.num_jobs();
 
-    // One job per machine is optimal whenever enough machines exist.
+    // One job per machine is optimal whenever enough machines exist (and
+    // then every class has a slot).
     if inst.machines() >= n as u64 {
         let mut schedule = PreemptiveSchedule::with_machines(n);
         for job in 0..n {
@@ -97,65 +70,36 @@ fn run(
             configurations: 0,
         });
     }
-    if inst.machines() > MAX_MACHINES {
-        return Err(CcsError::invalid_parameter(format!(
-            "preemptive PTAS supports at most {MAX_MACHINES} machines; use ccs-approx for larger m"
-        )));
-    }
+    check_input(inst, "preemptive")?;
 
     let warm = PreemptiveTwoApprox.solve_ctx(inst, ctx)?;
-    let ub = warm.makespan;
     let lb = warm
         .lower_bound
         .max(bounds::preemptive_lower_bound(inst))
         .max(Rational::ONE);
-    let delta = Rational::new(1, params.delta_inv as i128);
-
-    let step = Rational::ONE + delta;
-    let mut grid = vec![lb];
-    while *grid.last().unwrap() < ub {
-        let next = *grid.last().unwrap() * step;
-        grid.push(next);
-    }
-    let cutoff = ctx
-        .warm_hint()
-        .map(|hint| crate::grid::warm_cutoff(&grid, hint.makespan));
-    let (best, evaluated) =
-        crate::grid::smallest_accepted_hinted(ctx, grid.len(), cutoff, |index| {
-            let attempt = decide_ctx(inst, grid[index], params, ctx)?.map(|cert| {
-                let scale = GuessScale::new(grid[index], params);
+    search(
+        ctx,
+        params,
+        warm,
+        lb,
+        |guess| {
+            let attempt = decide_ctx(inst, guess, params, ctx)?.map(|cert| {
                 let configurations = cert.configs.len();
-                (construct(inst, &scale, &cert), configurations)
+                (
+                    construct(inst, &GuessScale::new(guess, params), &cert),
+                    configurations,
+                )
             });
-            // A guess only counts as feasible when its reconstruction round-trips
-            // through the validator, exactly as the sequential search required.
+            // A guess only counts as feasible when its reconstruction
+            // round-trips through the validator.
             Ok(attempt.filter(|(schedule, _)| schedule.validate(inst).is_ok()))
-        })?;
-
-    match best {
-        Some((idx, (schedule, configurations))) => Ok(PtasResult {
-            schedule,
-            guess: grid[idx],
-            lower_bound: lb,
-            guesses_evaluated: evaluated,
-            configurations,
-        }),
-        None => Ok(PtasResult {
-            schedule: warm.schedule,
-            guess: ub,
-            lower_bound: lb,
-            guesses_evaluated: evaluated,
-            configurations: 0,
-        }),
-    }
+        },
+        |_, built| built,
+    )
 }
 
 /// Serialises the splittable certificate into a preemptive schedule.
-fn construct(
-    inst: &Instance,
-    scale: &GuessScale,
-    cert: &crate::splittable::SplitCertificate,
-) -> PreemptiveSchedule {
+fn construct(inst: &Instance, scale: &GuessScale, cert: &Certificate) -> PreemptiveSchedule {
     // Reuse the splittable construction to get per-machine fractional amounts
     // (the certificate's machine count is exactly m ≤ MAX_MACHINES, so the
     // schedule is fully explicit).
@@ -178,7 +122,7 @@ fn construct(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::splittable::guarantee_bound;
+    use crate::splittable::tests::guarantee_bound;
     use ccs_core::instance::instance_from_pairs;
 
     fn ptas(inst: &Instance, params: PtasParams) -> Result<PtasResult<PreemptiveSchedule>> {

@@ -6,26 +6,23 @@ use ccs_core::{ClassId, Instance, JobId, Rational, Scalar};
 
 /// The scaled view of a makespan guess `T`.
 #[derive(Debug, Clone)]
-pub struct GuessScale {
-    /// The guess itself.
-    pub t: Rational,
+pub(crate) struct GuessScale {
     /// `1/δ`.
-    pub delta_inv: u64,
+    pub(crate) delta_inv: u64,
     /// `δ²T` — the unit in which module sizes are measured.
-    pub unit: Rational,
+    pub(crate) unit: Rational,
     /// `δT` — the threshold separating small from large.
-    pub small_threshold: Rational,
+    pub(crate) small_threshold: Rational,
     /// `T̄` in units of `δ²T`: `(1 + 4δ)/δ² = (1/δ)² + 4·(1/δ)`.
-    pub tbar_units: u64,
+    pub(crate) tbar_units: u64,
 }
 
 impl GuessScale {
     /// Creates the scale for guess `t`.
-    pub fn new(t: Rational, params: PtasParams) -> Self {
-        let d = params.delta_inv;
+    pub(crate) fn new(t: Rational, params: PtasParams) -> Self {
+        let d = params.delta_inv();
         let unit = t / Rational::from(d * d);
         GuessScale {
-            t,
             delta_inv: d,
             unit,
             small_threshold: t / Rational::from(d),
@@ -34,7 +31,7 @@ impl GuessScale {
     }
 
     /// `⌈x / δ²T⌉` — a quantity rounded up to grid units.
-    pub fn units_ceil(&self, x: Rational) -> u64 {
+    pub(crate) fn units_ceil(&self, x: Rational) -> u64 {
         // Hot in the large-class rounding of every `decide` probe: the
         // two-tier `Scalar` path trades the gcd-normalising rational
         // division for a checked multiply + Euclidean division.
@@ -42,34 +39,35 @@ impl GuessScale {
         u.max(0) as u64
     }
 
-    /// `T̄` as a rational.
-    pub fn tbar(&self) -> Rational {
-        self.unit * Rational::from(self.tbar_units)
+    /// `⌈x / (δ²T/c)⌉` — a small class's load on the finer grid `δ²T/c`,
+    /// on which the space constraint (3) stays integral (the paper's
+    /// scaling).
+    pub(crate) fn fine_units_ceil(&self, x: Rational, class_slots: u64) -> u64 {
+        let fine_unit = Scalar::from(self.unit) / Scalar::from(class_slots);
+        (Scalar::from(x) / fine_unit).ceil() as u64
     }
 }
 
 /// A job of the grouped instance `I'`: one or more original jobs of the same
 /// class fused together (Section 4.2 / 4.3 preprocessing).
 #[derive(Debug, Clone)]
-pub struct GroupedJob {
-    /// The class.
-    pub class: ClassId,
+pub(crate) struct GroupedJob {
     /// The original jobs fused into this one.
-    pub jobs: Vec<JobId>,
+    pub(crate) jobs: Vec<JobId>,
     /// Total original processing time.
-    pub size: Rational,
+    pub(crate) size: Rational,
 }
 
 /// A class of the grouped instance: either *small* (exactly one grouped job of
 /// size at most `δT`) or *large* (every grouped job larger than `δT`).
 #[derive(Debug, Clone)]
-pub struct GroupedClass {
+pub(crate) struct GroupedClass {
     /// The class.
-    pub class: ClassId,
+    pub(crate) class: ClassId,
     /// Its grouped jobs.
-    pub jobs: Vec<GroupedJob>,
+    pub(crate) jobs: Vec<GroupedJob>,
     /// `true` if the class is small.
-    pub small: bool,
+    pub(crate) small: bool,
 }
 
 /// Groups the jobs of every class so that each class becomes either small or
@@ -77,7 +75,7 @@ pub struct GroupedClass {
 /// are repeatedly fused into packages of size in `[δT, 2δT)`; a leftover of
 /// size `< δT` is merged into another job of the class if one exists,
 /// otherwise the class is small.
-pub fn group_classes(inst: &Instance, threshold: Rational) -> Vec<GroupedClass> {
+pub(crate) fn group_classes(inst: &Instance, threshold: Rational) -> Vec<GroupedClass> {
     (0..inst.num_classes())
         .map(|class| group_one_class(inst, class, threshold))
         .collect()
@@ -96,7 +94,6 @@ fn group_one_class(inst: &Instance, class: ClassId, threshold: Rational) -> Grou
         let p = Scalar::from(inst.processing_time(job));
         if p >= threshold_s {
             big.push(GroupedJob {
-                class,
                 jobs: vec![job],
                 size: p.to_rational(),
             });
@@ -105,7 +102,6 @@ fn group_one_class(inst: &Instance, class: ClassId, threshold: Rational) -> Grou
             pending_size += p;
             if pending_size >= threshold_s {
                 big.push(GroupedJob {
-                    class,
                     jobs: std::mem::take(&mut pending_jobs),
                     size: pending_size.to_rational(),
                 });
@@ -136,7 +132,6 @@ fn group_one_class(inst: &Instance, class: ClassId, threshold: Rational) -> Grou
         GroupedClass {
             class,
             jobs: vec![GroupedJob {
-                class,
                 jobs: pending_jobs,
                 size: pending_size.to_rational(),
             }],
@@ -157,7 +152,10 @@ mod tests {
         assert_eq!(scale.unit, Rational::from_int(2)); // δ²T = 8/4
         assert_eq!(scale.small_threshold, Rational::from_int(4)); // δT
         assert_eq!(scale.tbar_units, 12);
-        assert_eq!(scale.tbar(), Rational::from_int(24));
+        assert_eq!(
+            scale.unit * Rational::from(scale.tbar_units),
+            Rational::from_int(24)
+        ); // T̄
         assert_eq!(scale.units_ceil(Rational::from_int(5)), 3);
         assert_eq!(scale.units_ceil(Rational::from_int(4)), 2);
     }

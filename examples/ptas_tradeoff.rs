@@ -6,7 +6,9 @@ use ccs_ptas::{PtasParams, SplittablePtas};
 use std::time::Instant;
 
 fn main() {
-    let inst = instance_from_pairs(3, 1, &[(10, 0), (9, 1), (8, 2), (4, 0), (3, 1)]).unwrap();
+    // Two class slots per machine: with one, the constant-factor schedule of
+    // this instance is already optimal and the scheme evaluates no guess.
+    let inst = instance_from_pairs(2, 2, &[(10, 0), (9, 1), (8, 2), (4, 0), (3, 1)]).unwrap();
     let engine = Engine::new();
     let opt = engine
         .solve(&inst, &SolveRequest::exact(ScheduleKind::Splittable))
