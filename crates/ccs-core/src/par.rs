@@ -20,9 +20,12 @@
 //!
 //! Thread count resolution: a programmatic override
 //! ([`set_threads`], for tests) beats the `CCS_PAR_THREADS` environment
-//! variable (read once), which beats [`std::thread::available_parallelism`].
-//! A count of 1 — or a call from inside another `par_map_ctx` worker —
-//! degrades to the plain sequential loop.
+//! variable, which beats [`std::thread::available_parallelism`]; the last
+//! two are read once per process.  A count of 1 degrades to the plain
+//! sequential loop, and so does a call on a thread that already holds a
+//! share of the machine: a `par_map_ctx` shard, or any code run through
+//! [`serially`] (the engine's pool workers, and its inline session
+//! solves).  One level of fan-out is all a process gets.
 
 use crate::ctx::SolveContext;
 use crate::error::Result;
@@ -60,16 +63,36 @@ pub fn thread_count() -> usize {
     if overridden != 0 {
         return overridden;
     }
-    if let Some(threads) = env_threads() {
-        return threads;
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    // Detection reads cgroup files on Linux, so it is not repeated per call.
+    static DETECTED: OnceLock<usize> = OnceLock::new();
+    env_threads().unwrap_or_else(|| {
+        *DETECTED.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    })
 }
 
 thread_local! {
-    /// Set inside `par_map_ctx` workers: nested calls run sequentially
-    /// instead of oversubscribing (the output is identical either way).
+    /// Set while this thread runs serially: inside `par_map_ctx` shards and
+    /// [`serially`].  Calls then run sequentially instead of oversubscribing
+    /// (the output is identical either way).
     static IN_PAR: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Runs `f` on this thread with every [`par_map_ctx`] inside it sequential.
+///
+/// For threads that are themselves one of many solving side by side — a
+/// worker pool's, or a connection's — where a further fan-out would only
+/// compete for the same cores.  Outputs do not change (see the module
+/// documentation).
+pub fn serially<R>(f: impl FnOnce() -> R) -> R {
+    /// Restores the flag, also when `f` unwinds.
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            IN_PAR.with(|flag| flag.set(self.0));
+        }
+    }
+    let _restore = Restore(IN_PAR.with(|flag| flag.replace(true)));
+    f()
 }
 
 /// Stack size for shard and engine-worker threads.  Solver recursions (the
@@ -93,11 +116,12 @@ where
     R: Send,
     F: Fn(usize, &T) -> Result<R> + Sync,
 {
-    if items.is_empty() {
-        return Ok(Vec::new());
-    }
-    let threads = thread_count().min(items.len());
-    if threads <= 1 || IN_PAR.with(Cell::get) {
+    let threads = if IN_PAR.with(Cell::get) {
+        1
+    } else {
+        thread_count().min(items.len())
+    };
+    if threads <= 1 {
         let mut out = Vec::with_capacity(items.len());
         for (index, item) in items.iter().enumerate() {
             ctx.checkpoint()?;
@@ -237,6 +261,22 @@ mod tests {
         .unwrap();
         let expected: Vec<u64> = (0..8).map(|o| (0..8).map(|i| o * 10 + i).sum()).collect();
         assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn serially_keeps_items_on_the_calling_thread_until_it_returns() {
+        let _guard = force_threads(4);
+        let ctx = SolveContext::unbounded();
+        let here = std::thread::current().id();
+        let items = || par_map_ctx(&ctx, &[(); 8], |_, _| Ok(std::thread::current().id())).unwrap();
+        assert_eq!(serially(items), [here; 8]);
+        assert!(items().iter().all(|&item| item != here));
+        // The thread fans out again also after the closure unwinds.
+        let unwound = std::panic::catch_unwind(|| {
+            serially(|| std::panic::resume_unwind(Box::new("unwinding")))
+        });
+        assert!(unwound.is_err());
+        assert!(items().iter().all(|&item| item != here));
     }
 
     #[test]

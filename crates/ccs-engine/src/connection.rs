@@ -16,6 +16,8 @@
 //! responses.  Credits are granted only below the in-flight cap, so a
 //! connection at its cap is not read and read-ahead is one chunk.  Session
 //! solves run inline on the driver: a slow one blocks only its own client.
+//! They run [`serially`](ccs_core::par::serially), on one core, like the
+//! pool's workers run theirs.
 //!
 //! Framing is lenient where it can be and bounded where it must be: bytes
 //! are decoded lossily (invalid UTF-8 becomes U+FFFD and fails to parse like
@@ -125,7 +127,8 @@ impl Service {
                 return Pending::Decided(wire::stats_response_to_json(&id, &self.stats()).to_json())
             }
             Ok(WireFrame::Session(frame)) => {
-                let (line, event) = handle_session_frame(frame, &self.engine, sessions);
+                let (line, event) =
+                    ccs_core::par::serially(|| handle_session_frame(frame, &self.engine, sessions));
                 self.ledger().record_session(event);
                 return Pending::Decided(line);
             }

@@ -248,6 +248,8 @@ impl Engine {
 
     /// Solves one instance synchronously on the calling thread, honouring
     /// the request's budget (counted from call entry) and validation policy.
+    /// The solver's parallel regions fan out over helper threads
+    /// ([`ccs_core::par`]); a solve through the pool does not.
     pub fn solve(&self, inst: &Instance, req: &SolveRequest) -> Result<Solution> {
         let mut ctx = SolveContext::unbounded().with_stats(self.core.stats());
         if let Some(budget) = req.budget {
@@ -266,7 +268,8 @@ impl Engine {
     }
 
     /// Submits a request to the worker pool and returns immediately with a
-    /// [`SolveHandle`] to wait on or cancel.
+    /// [`SolveHandle`] to wait on or cancel.  The job runs serially on one
+    /// worker: the workers fill the cores, so its solver does not fan out.
     ///
     /// The request's budget starts counting now — a job that waits in the
     /// queue past its deadline fails with [`CcsError::DeadlineExceeded`]

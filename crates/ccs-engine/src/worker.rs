@@ -167,7 +167,9 @@ impl WorkerPool {
                 std::thread::Builder::new()
                     .name(format!("ccs-worker-{i}"))
                     .stack_size(ccs_core::par::WORKER_STACK_BYTES)
-                    .spawn(move || worker_loop(&shared, i))
+                    // Workers solve side by side, so each solves on one
+                    // core: a nested fan-out would compete with the pool.
+                    .spawn(move || ccs_core::par::serially(|| worker_loop(&shared, i)))
                     .expect("spawning a worker thread")
             })
             .collect();

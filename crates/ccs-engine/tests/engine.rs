@@ -1,9 +1,17 @@
 //! Integration tests for the dispatch layer: portfolio routing, the
-//! cross-solver guarantee property, and batch/sequential equivalence.
+//! cross-solver guarantee property, batch/sequential equivalence, and the
+//! threads solves run on.
 
-use ccs_core::{Rational, Schedule, ScheduleKind, Solver};
-use ccs_engine::{Engine, SolveRequest};
+use ccs_core::instance::instance_from_pairs;
+use ccs_core::par::{par_map_ctx, set_threads};
+use ccs_core::{
+    Guarantee, Instance, NonPreemptiveSchedule, Rational, Result, Schedule, ScheduleKind,
+    SolveContext, SolveReport, Solver,
+};
+use ccs_engine::{serve, Engine, NetdConfig, Service, SolveRequest, SolverRegistry};
 use ccs_gen::GenParams;
+use std::sync::{mpsc, Arc, Mutex};
+use std::thread::{self, ThreadId};
 
 /// Every registered solver, run on small random instances, returns a
 /// schedule that (a) passes the validator of its model, (b) matches the
@@ -142,4 +150,84 @@ fn exact_requests_match_reference_optima() {
             assert_eq!(sol.report.makespan, opt, "seed {seed}, model {model}");
         }
     }
+}
+
+/// Every solve the probe ran: its thread, and the threads its items ran on.
+type Runs = Arc<Mutex<Vec<(ThreadId, Vec<ThreadId>)>>>;
+
+/// Stands in for the exact non-preemptive solver: maps eight items through
+/// `par_map_ctx`, recording the thread of each, then solves for real.
+struct ThreadProbe(Runs);
+
+impl Solver for ThreadProbe {
+    type Schedule = NonPreemptiveSchedule;
+
+    fn name(&self) -> &'static str {
+        "exact-nonpreemptive"
+    }
+    fn kind(&self) -> ScheduleKind {
+        ScheduleKind::NonPreemptive
+    }
+    fn guarantee(&self) -> Guarantee {
+        Guarantee::Exact
+    }
+    fn solve_ctx(
+        &self,
+        inst: &Instance,
+        ctx: &SolveContext,
+    ) -> Result<SolveReport<NonPreemptiveSchedule>> {
+        let items = par_map_ctx(ctx, &[(); 8], |_, _| Ok(thread::current().id()))?;
+        self.0.lock().unwrap().push((thread::current().id(), items));
+        ccs_exact::ExactNonPreemptive.solve_ctx(inst, ctx)
+    }
+}
+
+/// A server thread solves serially: a pool worker, and a connection's
+/// driver running a session solve inline.  A solve on the caller's own
+/// thread fans out, also on a thread that has driven a connection before.
+#[test]
+fn served_solves_run_on_their_thread_and_direct_solves_fan_out() {
+    set_threads(Some(4));
+    let runs = Runs::default();
+    let mut registry = SolverRegistry::with_defaults();
+    registry.replace(ThreadProbe(Arc::clone(&runs)));
+    let engine = Engine::with_registry(registry).with_workers(2);
+    let inst = instance_from_pairs(2, 1, &[(6, 0), (1, 0), (5, 1)]).unwrap();
+    let req = SolveRequest::exact(ScheduleKind::NonPreemptive);
+    let last_run = || runs.lock().unwrap().pop().expect("the probe ran");
+    let here = thread::current().id();
+
+    engine.submit(inst.clone(), &req).wait().unwrap();
+    let (worker, items) = last_run();
+    assert_ne!(worker, here);
+    assert_eq!(items, [worker; 8], "a pool worker fanned out");
+
+    let service = Service::new(engine.clone(), NetdConfig::default());
+    let input = concat!(
+        r#"{"schema":"ccs-wire/1","id":"o","op":"session","action":"open","#,
+        r#""instance":{"class_labels_per_job":[0,0,1],"class_slots":1,"#,
+        r#""machines":2,"processing_times":[6,1,5]}}"#,
+        "\n",
+        r#"{"schema":"ccs-wire/1","id":"s","op":"session","action":"solve","#,
+        r#""session":"s1","model":"non-preemptive","accuracy":"exact"}"#,
+        "\n",
+    );
+    let mut out = Vec::new();
+    serve(&service, input.as_bytes(), &mut out, || {}, mpsc::channel()).unwrap();
+    let out = String::from_utf8(out).unwrap();
+    assert!(out.contains(r#""solver":"exact-nonpreemptive""#), "{out}");
+    assert_eq!(
+        last_run(),
+        (here, vec![here; 8]),
+        "a session solve fanned out"
+    );
+
+    engine.solve(&inst, &req).unwrap();
+    let (caller, items) = last_run();
+    assert_eq!(caller, here);
+    assert!(
+        items.iter().all(|&item| item != here),
+        "a direct solve ran items on the caller: {items:?}"
+    );
+    set_threads(None);
 }

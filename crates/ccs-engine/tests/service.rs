@@ -236,9 +236,19 @@ fn single_thread_override_reports_identically_to_the_parallel_default() {
         (&small, SolveRequest::exact(ScheduleKind::NonPreemptive)),
     ];
     for (inst, req) in cases {
-        // Through the worker pool, like production traffic (workers carry the
-        // deep-recursion stack reserve; libtest threads do not).
-        let parallel = engine.submit(inst.clone(), &req).wait().unwrap();
+        // Pool workers solve serially, so the fanned-out side solves on a
+        // thread of its own, with the workers' deep-recursion stack reserve
+        // (libtest threads lack it).
+        let parallel = std::thread::scope(|scope| {
+            std::thread::Builder::new()
+                .stack_size(ccs_core::par::WORKER_STACK_BYTES)
+                .spawn_scoped(scope, || engine.solve(inst, &req))
+                .unwrap()
+                .join()
+                .unwrap()
+        })
+        .unwrap();
+        // Through the worker pool, like production traffic.
         ccs_core::par::set_threads(Some(1));
         let serial = engine.submit(inst.clone(), &req).wait();
         ccs_core::par::set_threads(None);

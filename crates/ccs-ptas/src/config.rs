@@ -30,8 +30,17 @@ impl Config {
     }
 
     /// Number of modules of size `q` in this configuration.
+    #[cfg(test)]
     pub(crate) fn multiplicity(&self, q: u64) -> u64 {
         self.parts.iter().filter(|&&p| p == q).count() as u64
+    }
+
+    /// Every distinct module size of this configuration with its
+    /// multiplicity, largest size first.
+    pub(crate) fn runs(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.parts
+            .chunk_by(|a, b| a == b)
+            .map(|run| (run[0], run.len() as u64))
     }
 
     /// The group `(h, b) = (Λ(K), ‖K‖₁)` of this configuration, used for the
@@ -188,6 +197,9 @@ mod tests {
         assert_eq!(configs.len(), 4);
         let full = configs.iter().find(|c| c.count == 3).unwrap();
         assert_eq!(full.multiplicity(2), 3);
+        assert_eq!(full.runs().collect::<Vec<_>>(), [(2, 3)]);
+        let mixed = Config::new(vec![5, 3, 3, 2]);
+        assert_eq!(mixed.runs().collect::<Vec<_>>(), [(5, 1), (3, 2), (2, 1)]);
         assert_eq!(full.group(), (6, 3));
     }
 

@@ -25,9 +25,9 @@ pub(crate) struct LargeClass {
     pub(crate) class: ClassId,
     /// Upper bound on the count of every module column.
     pub(crate) bounds: Vec<i64>,
-    /// The rows of constraint (4): the coefficient of every module column
-    /// and the right-hand side.
-    pub(crate) demand: Vec<(Vec<i64>, i64)>,
+    /// The rows of constraint (4): `(module column, coefficient)` for every
+    /// non-zero coefficient, and the right-hand side.
+    pub(crate) demand: Vec<(Vec<(usize, i64)>, i64)>,
 }
 
 /// The configuration ILP of one guess.
@@ -90,41 +90,47 @@ impl ConfigIlp {
             .map(|_| groups.iter().map(|_| ilp.add_var(0, 1)).collect())
             .collect();
 
+        // One pass over the configurations and the module columns collects
+        // the terms of (1) by module size and the members of every group.
+        let size_index = |q: u64| {
+            module_sizes
+                .binary_search(&q)
+                .expect("every part and column is a module size")
+        };
+        let mut cover: Vec<Vec<(usize, i64)>> = vec![Vec::new(); module_sizes.len()];
+        let mut members: Vec<Vec<usize>> = vec![Vec::new(); groups.len()];
+        for (config, &v) in configs.iter().zip(&x) {
+            for (q, multiplicity) in config.runs() {
+                cover[size_index(q)].push((v, multiplicity as i64));
+            }
+            let group = groups.binary_search(&config.group());
+            members[group.expect("groups come from the configurations")].push(v);
+        }
+        for vars in &y {
+            for (&size, &v) in self.columns.iter().zip(vars) {
+                cover[size_index(size)].push((v, -1));
+            }
+        }
+
         // (0) number of configurations = number of machines.
         ilp.add_eq(x.iter().map(|&v| (v, 1)).collect(), m as i64);
         // (1) chosen configurations cover exactly the chosen modules, by size.
-        for &q in &module_sizes {
-            let mut terms: Vec<(usize, i64)> = configs
-                .iter()
-                .zip(&x)
-                .filter(|(k, _)| k.multiplicity(q) > 0)
-                .map(|(k, &v)| (v, k.multiplicity(q) as i64))
-                .collect();
-            for vars in &y {
-                for (&size, &v) in self.columns.iter().zip(vars) {
-                    if size == q {
-                        terms.push((v, -1));
-                    }
-                }
-            }
+        for terms in cover {
             ilp.add_eq(terms, 0);
         }
         // (4) the modules of every large class cover its demand.
         for (class, vars) in self.large.iter().zip(&y) {
-            for (coefficients, rhs) in &class.demand {
-                let terms: Vec<(usize, i64)> = vars
-                    .iter()
-                    .zip(coefficients)
-                    .filter(|(_, &a)| a != 0)
-                    .map(|(&v, &a)| (v, a))
-                    .collect();
+            for (terms, rhs) in &class.demand {
                 if terms.is_empty() {
                     if *rhs != 0 {
                         return Ok(None);
                     }
                     continue;
                 }
-                ilp.add_eq(terms, *rhs);
+                ilp.add_eq(
+                    terms.iter().map(|&(column, a)| (vars[column], a)).collect(),
+                    *rhs,
+                );
             }
         }
         // (5) every small class goes to exactly one group.
@@ -132,32 +138,31 @@ impl ConfigIlp {
             ilp.add_eq(vars.iter().map(|&v| (v, 1)).collect(), 1);
         }
         // (2) + (3) slot and space constraints per group; small loads are
-        // measured on the fine grid δ²T/c.
+        // measured on the fine grid δ²T/c.  Without a small class a row has
+        // only non-positive terms over a right-hand side of 0, so it can
+        // never tighten a bound and is left out.
         let small_units: Vec<i64> = self
             .small
             .iter()
             .map(|&u| scale.fine_units_ceil(Rational::from(inst.class_load(u)), c_eff) as i64)
             .collect();
-        for (gi, &(h, b)) in groups.iter().enumerate() {
-            let members: Vec<usize> = configs
-                .iter()
-                .zip(&x)
-                .filter(|(k, _)| k.group() == (h, b))
-                .map(|(_, &v)| v)
-                .collect();
-            // (2): Σ_u z_u,g ≤ (c - b) Σ x_K
-            let mut slot_terms: Vec<(usize, i64)> = z.iter().map(|vars| (vars[gi], 1)).collect();
-            slot_terms.extend(members.iter().map(|&v| (v, -((c_eff - b) as i64))));
-            ilp.add_le(slot_terms, 0);
-            // (3): Σ_u s_u z_u,g ≤ (T̄ - h) Σ x_K
-            let capacity_fine = ((scale.tbar_units - h) * c_eff) as i64;
-            let mut space_terms: Vec<(usize, i64)> = z
-                .iter()
-                .zip(&small_units)
-                .map(|(vars, &s)| (vars[gi], s))
-                .collect();
-            space_terms.extend(members.iter().map(|&v| (v, -capacity_fine)));
-            ilp.add_le(space_terms, 0);
+        if !z.is_empty() {
+            for (gi, (&(h, b), members)) in groups.iter().zip(&members).enumerate() {
+                // (2): Σ_u z_u,g ≤ (c - b) Σ x_K
+                let mut slot_terms: Vec<(usize, i64)> =
+                    z.iter().map(|vars| (vars[gi], 1)).collect();
+                slot_terms.extend(members.iter().map(|&v| (v, -((c_eff - b) as i64))));
+                ilp.add_le(slot_terms, 0);
+                // (3): Σ_u s_u z_u,g ≤ (T̄ - h) Σ x_K
+                let capacity_fine = ((scale.tbar_units - h) * c_eff) as i64;
+                let mut space_terms: Vec<(usize, i64)> = z
+                    .iter()
+                    .zip(&small_units)
+                    .map(|(vars, &s)| (vars[gi], s))
+                    .collect();
+                space_terms.extend(members.iter().map(|&v| (v, -capacity_fine)));
+                ilp.add_le(space_terms, 0);
+            }
         }
 
         let sol = match ilp.solve_ctx(ILP_NODE_BUDGET, ctx)? {

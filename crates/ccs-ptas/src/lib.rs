@@ -34,9 +34,13 @@
 //! (the per-class duplication of configuration variables in the paper exists
 //! only to obtain the N-fold shape and carries no information — see Lemma 9,
 //! which sets all duplicates except one to zero) with an exact
-//! depth-first-search solver with interval propagation (`ilp`).  The
-//! crate's tests build the faithful splittable N-fold of the paper and check
-//! that the certificates of accepted guesses map to feasible points of it.
+//! depth-first-search solver with interval propagation (`ilp`).  That
+//! search is incremental — a node re-examines only the constraints that
+//! hold a tightened variable and undoes its bound changes from a trail — and
+//! its tests compare it with the full-sweep search it replaced, node for
+//! node.  The crate's tests also build the faithful splittable N-fold of the
+//! paper and check that the certificates of accepted guesses map to feasible
+//! points of it.
 //!
 //! The running time therefore remains exponential in `1/δ` (as any PTAS must
 //! be) and practical only for coarse `δ`; the benchmark harness documents the

@@ -102,6 +102,17 @@ fn decide_and_construct_ctx(
             .into_iter()
             .filter(|module| module.count > 0)
             .collect();
+    // The terms of constraint (4) for every job size, in one pass over the
+    // modules: the modules holding jobs of that size, with their number.
+    // Only the right-hand side differs between classes.
+    let mut holding: Vec<Vec<(usize, i64)>> = vec![Vec::new(); sizes_present.len()];
+    for (column, module) in modules.iter().enumerate() {
+        for (p, multiplicity) in module.runs() {
+            let size = sizes_present.binary_search(&p);
+            holding[size.expect("modules are built from the present sizes")]
+                .push((column, multiplicity as i64));
+        }
+    }
     let large = per_class_jobs
         .iter()
         .map(|(&class, jobs)| LargeClass {
@@ -109,10 +120,10 @@ fn decide_and_construct_ctx(
             bounds: vec![jobs.len() as i64; modules.len()],
             demand: sizes_present
                 .iter()
-                .map(|&p| {
-                    let coefficients = modules.iter().map(|k| k.multiplicity(p) as i64).collect();
+                .zip(&holding)
+                .map(|(&p, terms)| {
                     let jobs_of_size = jobs.iter().filter(|&&(units, _)| units == p).count();
-                    (coefficients, jobs_of_size as i64)
+                    (terms.clone(), jobs_of_size as i64)
                 })
                 .collect(),
         })

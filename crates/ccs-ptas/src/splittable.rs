@@ -93,7 +93,10 @@ pub(crate) fn decide_ctx(
                     .iter()
                     .map(|&q| (demand / q.max(1)) as i64)
                     .collect(),
-                demand: vec![(columns.iter().map(|&q| q as i64).collect(), demand as i64)],
+                demand: vec![(
+                    columns.iter().map(|&q| q as i64).enumerate().collect(),
+                    demand as i64,
+                )],
             });
         } else {
             small.push(class);
