@@ -8,7 +8,7 @@
 pub mod canonical;
 
 use crate::error::{CcsError, Result};
-use crate::json::{self, JsonValue};
+use crate::json::{self, JsonValue, JsonWriter};
 use crate::rational::Rational;
 use std::collections::BTreeMap;
 
@@ -100,84 +100,47 @@ impl TryFrom<InstanceData> for Instance {
     }
 }
 
-impl From<Instance> for InstanceData {
-    fn from(i: Instance) -> Self {
-        InstanceData {
-            class_labels_per_job: i.classes.iter().map(|&u| i.class_labels[u]).collect(),
-            processing_times: i.processing_times,
-            machines: i.machines,
-            class_slots: i.class_slots,
-            job_shapes: i.job_shapes,
-        }
-    }
-}
-
 impl Instance {
     /// Serialises the instance to a compact JSON document holding only the
     /// raw input data (`processing_times`, `class_labels_per_job`, `machines`,
     /// `class_slots`); derived data is rebuilt by [`Instance::from_json`].
     pub fn to_json(&self) -> String {
-        self.to_json_value().to_json()
+        JsonWriter::line(|w| self.write_json(w)).into_string()
     }
 
-    /// The [`Instance::to_json`] document as a [`JsonValue`] tree, for
-    /// embedding into larger documents (e.g. `ccs-wire/1` request frames)
-    /// without rendering and re-parsing.
-    pub fn to_json_value(&self) -> JsonValue {
-        let data = InstanceData::from(self.clone());
-        let mut map = std::collections::BTreeMap::new();
-        map.insert(
-            "processing_times".to_string(),
-            JsonValue::Array(
-                data.processing_times
-                    .iter()
-                    .map(|&p| JsonValue::Int(p as i128))
-                    .collect(),
-            ),
-        );
-        map.insert(
-            "class_labels_per_job".to_string(),
-            JsonValue::Array(
-                data.class_labels_per_job
-                    .iter()
-                    .map(|&c| JsonValue::Int(c as i128))
-                    .collect(),
-            ),
-        );
-        map.insert(
-            "machines".to_string(),
-            JsonValue::Int(data.machines as i128),
-        );
-        map.insert(
-            "class_slots".to_string(),
-            JsonValue::Int(data.class_slots as i128),
-        );
-        // The versioned extension slot: emitted only when present, so the
-        // documents of plain paper instances are byte-identical to the
-        // pre-extension format.
-        if let Some(shapes) = &data.job_shapes {
-            map.insert(
-                "job_shapes".to_string(),
-                JsonValue::Array(
-                    shapes
-                        .iter()
-                        .map(|menu| {
-                            JsonValue::Array(
-                                menu.iter()
-                                    .map(|&(k, t)| {
-                                        JsonValue::Array(vec![
-                                            JsonValue::Int(k as i128),
-                                            JsonValue::Int(t as i128),
-                                        ])
-                                    })
-                                    .collect(),
-                            )
-                        })
-                        .collect(),
-                ),
-            );
-        }
-        JsonValue::Object(map)
+    /// Writes the [`Instance::to_json`] document, for embedding into larger
+    /// documents (e.g. `ccs-wire/1` request frames).
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.key("class_labels_per_job").array(|w| {
+                for &class in &self.classes {
+                    w.u64(u64::from(self.class_labels[class]));
+                }
+            });
+            w.key("class_slots").u64(self.class_slots);
+            // The versioned extension slot: emitted only when present, so the
+            // documents of plain paper instances are byte-identical to the
+            // pre-extension format.
+            if let Some(shapes) = &self.job_shapes {
+                w.key("job_shapes").array(|w| {
+                    for menu in shapes {
+                        w.array(|w| {
+                            for &(k, t) in menu {
+                                w.array(|w| {
+                                    w.u64(k).u64(t);
+                                });
+                            }
+                        });
+                    }
+                });
+            }
+            w.key("machines").u64(self.machines);
+            w.key("processing_times").array(|w| {
+                for &p in &self.processing_times {
+                    w.u64(p);
+                }
+            });
+        });
     }
 
     /// Parses an instance from the JSON produced by [`Instance::to_json`].
@@ -473,6 +436,18 @@ impl InstanceBuilder {
                 "processing times must be positive",
             ));
         }
+        // Class loads and the total load are sums of processing times: keep
+        // them exact rather than let them wrap.
+        if self
+            .processing_times
+            .iter()
+            .try_fold(0u64, |total, &p| total.checked_add(p))
+            .is_none()
+        {
+            return Err(CcsError::invalid_instance(
+                "total processing time does not fit in 64 bits",
+            ));
+        }
 
         // Normalise and validate declared shape menus.  Each menu is sorted
         // and deduplicated; a menu equal to the job's default shape
@@ -662,6 +637,24 @@ mod tests {
     #[test]
     fn rejects_zero_processing_time() {
         assert!(InstanceBuilder::new(1, 1).job(0, 0).build().is_err());
+    }
+
+    #[test]
+    fn rejects_total_processing_time_past_u64() {
+        let huge = InstanceBuilder::new(2, 2)
+            .job(u64::MAX, 0)
+            .job(1, 1)
+            .build();
+        assert_eq!(
+            huge.unwrap_err(),
+            CcsError::invalid_instance("total processing time does not fit in 64 bits")
+        );
+        let fits = InstanceBuilder::new(2, 2)
+            .job(u64::MAX - 1, 0)
+            .job(1, 1)
+            .build()
+            .unwrap();
+        assert_eq!(fits.total_load(), u64::MAX);
     }
 
     #[test]

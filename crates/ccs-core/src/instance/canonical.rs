@@ -34,7 +34,7 @@
 //! absorb nothing extra, so their fingerprints are bit-identical to the
 //! pre-extension era (pinned by the golden-value test below).
 
-use super::{ClassId, Instance, InstanceBuilder, JobId, JobShape};
+use super::{ClassId, Instance, JobId, JobShape};
 use crate::error::{CcsError, Result};
 use std::collections::BTreeMap;
 
@@ -64,15 +64,17 @@ impl std::fmt::Display for Fingerprint {
     }
 }
 
-/// The canonical form of an instance together with the correspondence back
-/// to the instance it was computed from.
+/// The canonical identity of an instance: the fingerprint of its canonical
+/// form together with the correspondence back to the instance it was
+/// computed from.
 ///
 /// The correspondence is what lets a consumer translate job- and
 /// class-indexed data (schedules, in the engine's cache) between the
-/// original numbering and the canonical one.
+/// original numbering and the canonical one.  The canonical instance itself
+/// is never built: its word stream is hashed while the sorted jobs are
+/// walked.
 #[derive(Debug, Clone)]
 pub struct CanonicalInstance {
-    instance: Instance,
     fingerprint: Fingerprint,
     /// `job_order[k]` = the original job at canonical position `k`.
     job_order: Vec<JobId>,
@@ -81,11 +83,6 @@ pub struct CanonicalInstance {
 }
 
 impl CanonicalInstance {
-    /// The canonical instance itself (jobs sorted, classes renumbered).
-    pub fn instance(&self) -> &Instance {
-        &self.instance
-    }
-
     /// The fingerprint of the canonical form.
     pub fn fingerprint(&self) -> Fingerprint {
         self.fingerprint
@@ -112,7 +109,8 @@ impl CanonicalInstance {
 
 impl Instance {
     /// Computes the canonical form of this instance (see the module docs for
-    /// the exact definition) along with the job/class correspondence.
+    /// the exact definition): its fingerprint and the job/class
+    /// correspondence.
     ///
     /// Runs in `O(n log n)`.
     pub fn canonical(&self) -> CanonicalInstance {
@@ -147,26 +145,39 @@ impl Instance {
         let mut job_order: Vec<JobId> = (0..n).collect();
         job_order.sort_by_key(|&j| (self.processing_time(j), rank[self.class_of(j)], menu_of(j)));
 
-        // 4. Renumber classes by first occurrence along the sorted job list.
-        let mut canonical_of_class: Vec<Option<u32>> = vec![None; num_classes];
+        // 4. Absorb the canonical word stream along the sorted job list,
+        // renumbering classes by first occurrence.  The menus of a
+        // validated instance are already normalised, so they enter the
+        // stream as the canonical instance would hold them.
+        let mut mixer = Mixer::header(self.machines(), self.class_slots(), n, num_classes);
+        let mut canonical_of_class: Vec<Option<u64>> = vec![None; num_classes];
         let mut class_order: Vec<ClassId> = Vec::with_capacity(num_classes);
-        let mut builder = InstanceBuilder::new(self.machines(), self.class_slots());
         for &job in &job_order {
             let class = self.class_of(job);
             let label = *canonical_of_class[class].get_or_insert_with(|| {
                 class_order.push(class);
-                (class_order.len() - 1) as u32
+                (class_order.len() - 1) as u64
             });
-            builder = builder.job_shaped(self.processing_time(job), label, menu_of(job));
+            mixer.absorb(self.processing_time(job));
+            mixer.absorb(label);
         }
-        let instance = builder
-            .build()
-            .expect("canonical rebuild of a validated instance");
-
-        let fingerprint = fingerprint_of(&instance);
+        // The JobShapes extension section: tagged and versioned, absorbed
+        // only when the slot is populated, so plain instances keep their
+        // pre-extension fingerprints bit for bit.
+        if self.has_shapes() {
+            mixer.absorb(SHAPES_EXTENSION_TAG);
+            mixer.absorb(SHAPES_EXTENSION_VERSION);
+            for &job in &job_order {
+                let menu = menu_of(job);
+                mixer.absorb(menu.len() as u64);
+                for &(k, t) in menu {
+                    mixer.absorb(k);
+                    mixer.absorb(t);
+                }
+            }
+        }
         CanonicalInstance {
-            instance,
-            fingerprint,
+            fingerprint: mixer.finish(),
             job_order,
             class_order,
         }
@@ -203,6 +214,22 @@ impl Mixer {
         }
     }
 
+    /// A mixer that has absorbed the stream's header: the version tag,
+    /// `m`, `c`, `n` and `C`.
+    fn header(machines: u64, class_slots: u64, jobs: usize, classes: usize) -> Self {
+        let mut mixer = Mixer::new();
+        for word in [
+            FINGERPRINT_VERSION,
+            machines,
+            class_slots,
+            jobs as u64,
+            classes as u64,
+        ] {
+            mixer.absorb(word);
+        }
+        mixer
+    }
+
     fn absorb(&mut self, word: u64) {
         self.lo = splitmix64(self.lo ^ word);
         self.hi = splitmix64(self.hi.rotate_left(17) ^ word);
@@ -211,36 +238,6 @@ impl Mixer {
     fn finish(self) -> Fingerprint {
         Fingerprint(((splitmix64(self.hi) as u128) << 64) | splitmix64(self.lo) as u128)
     }
-}
-
-/// Hashes an instance **as given** (the caller passes the canonical form).
-fn fingerprint_of(canonical: &Instance) -> Fingerprint {
-    let mut mixer = Mixer::new();
-    mixer.absorb(FINGERPRINT_VERSION);
-    mixer.absorb(canonical.machines());
-    mixer.absorb(canonical.class_slots());
-    mixer.absorb(canonical.num_jobs() as u64);
-    mixer.absorb(canonical.num_classes() as u64);
-    for job in 0..canonical.num_jobs() {
-        mixer.absorb(canonical.processing_time(job));
-        mixer.absorb(canonical.class_of(job) as u64);
-    }
-    // The JobShapes extension section: tagged and versioned, absorbed only
-    // when the slot is populated, so plain instances keep their
-    // pre-extension fingerprints bit for bit.
-    if canonical.has_shapes() {
-        mixer.absorb(SHAPES_EXTENSION_TAG);
-        mixer.absorb(SHAPES_EXTENSION_VERSION);
-        for job in 0..canonical.num_jobs() {
-            let menu = canonical.declared_shapes(job).unwrap_or(&[]);
-            mixer.absorb(menu.len() as u64);
-            for &(k, t) in menu {
-                mixer.absorb(k);
-                mixer.absorb(t);
-            }
-        }
-    }
-    mixer.finish()
 }
 
 /// Incrementally maintained canonical identity of a *mutating* instance.
@@ -403,12 +400,12 @@ impl IncrementalFingerprint {
         // 2. K-way merge of the per-class lists by (processing time, rank) —
         // exactly the job order of the canonical form's step 2 — renumbering
         // classes by first occurrence (step 3) as the stream is absorbed.
-        let mut mixer = Mixer::new();
-        mixer.absorb(FINGERPRINT_VERSION);
-        mixer.absorb(self.machines);
-        mixer.absorb(self.class_slots);
-        mixer.absorb(self.jobs as u64);
-        mixer.absorb(self.classes.len() as u64);
+        let mut mixer = Mixer::header(
+            self.machines,
+            self.class_slots,
+            self.jobs,
+            self.classes.len(),
+        );
 
         let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, usize, usize)>> = lists
             .iter()
@@ -439,7 +436,94 @@ impl IncrementalFingerprint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instance::instance_from_pairs;
+    use crate::instance::{instance_from_pairs, InstanceBuilder};
+
+    /// The oracle of the tests below: the same sort as
+    /// `Instance::canonical`, then the canonical instance rebuilt through
+    /// [`InstanceBuilder`] and hashed as given.
+    struct Reference {
+        instance: Instance,
+        fingerprint: Fingerprint,
+        job_order: Vec<JobId>,
+        class_order: Vec<ClassId>,
+    }
+
+    fn reference(inst: &Instance) -> Reference {
+        let n = inst.num_jobs();
+        let num_classes = inst.num_classes();
+        let menu_of = |job: JobId| inst.declared_shapes(job).unwrap_or(&[]);
+        let mut signatures: Vec<Vec<(u64, &[JobShape])>> = vec![Vec::new(); num_classes];
+        for job in 0..n {
+            signatures[inst.class_of(job)].push((inst.processing_time(job), menu_of(job)));
+        }
+        for sig in &mut signatures {
+            sig.sort_unstable();
+        }
+        let mut by_signature: Vec<ClassId> = (0..num_classes).collect();
+        by_signature.sort_by(|&a, &b| signatures[a].cmp(&signatures[b]));
+        let mut rank = vec![0usize; num_classes];
+        for (r, &class) in by_signature.iter().enumerate() {
+            rank[class] = r;
+        }
+        let mut job_order: Vec<JobId> = (0..n).collect();
+        job_order.sort_by_key(|&j| (inst.processing_time(j), rank[inst.class_of(j)], menu_of(j)));
+        let mut canonical_of_class: Vec<Option<u32>> = vec![None; num_classes];
+        let mut class_order: Vec<ClassId> = Vec::with_capacity(num_classes);
+        let mut builder = InstanceBuilder::new(inst.machines(), inst.class_slots());
+        for &job in &job_order {
+            let class = inst.class_of(job);
+            let label = *canonical_of_class[class].get_or_insert_with(|| {
+                class_order.push(class);
+                (class_order.len() - 1) as u32
+            });
+            builder = builder.job_shaped(inst.processing_time(job), label, menu_of(job));
+        }
+        let instance = builder.build().unwrap();
+        Reference {
+            fingerprint: fingerprint_of(&instance),
+            instance,
+            job_order,
+            class_order,
+        }
+    }
+
+    /// Hashes an instance **as given** (the caller passes the canonical form).
+    fn fingerprint_of(canonical: &Instance) -> Fingerprint {
+        let mut mixer = Mixer::new();
+        mixer.absorb(FINGERPRINT_VERSION);
+        mixer.absorb(canonical.machines());
+        mixer.absorb(canonical.class_slots());
+        mixer.absorb(canonical.num_jobs() as u64);
+        mixer.absorb(canonical.num_classes() as u64);
+        for job in 0..canonical.num_jobs() {
+            mixer.absorb(canonical.processing_time(job));
+            mixer.absorb(canonical.class_of(job) as u64);
+        }
+        if canonical.has_shapes() {
+            mixer.absorb(SHAPES_EXTENSION_TAG);
+            mixer.absorb(SHAPES_EXTENSION_VERSION);
+            for job in 0..canonical.num_jobs() {
+                let menu = canonical.declared_shapes(job).unwrap_or(&[]);
+                mixer.absorb(menu.len() as u64);
+                for &(k, t) in menu {
+                    mixer.absorb(k);
+                    mixer.absorb(t);
+                }
+            }
+        }
+        mixer.finish()
+    }
+
+    /// Asserts that `inst.canonical()` agrees with the reference, and
+    /// returns the reference's canonical instance.
+    fn canonical_instance(inst: &Instance) -> Instance {
+        let canon = inst.canonical();
+        let expected = reference(inst);
+        assert_eq!(canon.fingerprint(), expected.fingerprint, "fingerprint");
+        assert_eq!(canon.job_order(), expected.job_order, "job order");
+        assert_eq!(canon.class_order(), expected.class_order, "class order");
+        expected.instance
+    }
 
     /// Deterministic LCG for permutation/relabel sweeps (no `rand` in this
     /// offline workspace).
@@ -464,26 +548,34 @@ mod tests {
         .unwrap()
     }
 
-    /// Shuffles jobs and relabels classes through an LCG-driven bijection.
+    /// Shuffles jobs (with their shape menus) and relabels classes through
+    /// an LCG-driven bijection.
     fn scrambled(inst: &Instance, rng: &mut Lcg) -> Instance {
-        let mut jobs: Vec<(u64, u32)> = (0..inst.num_jobs())
-            .map(|j| (inst.processing_time(j), inst.class_label(inst.class_of(j))))
+        let mut jobs: Vec<(u64, u32, &[JobShape])> = (0..inst.num_jobs())
+            .map(|j| {
+                (
+                    inst.processing_time(j),
+                    inst.class_label(inst.class_of(j)),
+                    inst.declared_shapes(j).unwrap_or(&[]),
+                )
+            })
             .collect();
         for i in (1..jobs.len()).rev() {
             jobs.swap(i, rng.next(i as u64 + 1) as usize);
         }
         // Random injective relabel: offset + stride over a large odd modulus.
         let offset = rng.next(1000) as u32;
-        for (_, label) in &mut jobs {
-            *label = label.wrapping_mul(2654435761).wrapping_add(offset);
+        let mut builder = InstanceBuilder::new(inst.machines(), inst.class_slots());
+        for (p, label, menu) in jobs {
+            let label = label.wrapping_mul(2654435761).wrapping_add(offset);
+            builder = builder.job_shaped(p, label, menu);
         }
-        instance_from_pairs(inst.machines(), inst.class_slots(), &jobs).unwrap()
+        builder.build().unwrap()
     }
 
     #[test]
     fn canonical_is_sorted_and_first_occurrence_numbered() {
-        let canon = sample().canonical();
-        let inst = canon.instance();
+        let inst = &canonical_instance(&sample());
         // Jobs ascend by processing time.
         let times: Vec<u64> = (0..inst.num_jobs())
             .map(|j| inst.processing_time(j))
@@ -510,9 +602,10 @@ mod tests {
     #[test]
     fn canonical_of_canonical_is_identity() {
         let canon = sample().canonical();
-        let again = canon.instance().canonical();
+        let instance = canonical_instance(&sample());
+        let again = instance.canonical();
         assert!(again.is_identity());
-        assert_eq!(again.instance(), canon.instance());
+        assert_eq!(canonical_instance(&instance), instance);
         assert_eq!(again.fingerprint(), canon.fingerprint());
     }
 
@@ -520,16 +613,17 @@ mod tests {
     fn job_and_class_order_translate_back() {
         let inst = sample();
         let canon = inst.canonical();
+        let canonical = canonical_instance(&inst);
         assert_eq!(canon.job_order().len(), inst.num_jobs());
         assert_eq!(canon.class_order().len(), inst.num_classes());
         for (k, &j) in canon.job_order().iter().enumerate() {
             assert_eq!(
-                canon.instance().processing_time(k),
+                canonical.processing_time(k),
                 inst.processing_time(j),
                 "canonical job {k} maps to original job {j}"
             );
             assert_eq!(
-                canon.class_order()[canon.instance().class_of(k)],
+                canon.class_order()[canonical.class_of(k)],
                 inst.class_of(j),
                 "class correspondence of canonical job {k}"
             );
@@ -539,13 +633,18 @@ mod tests {
     #[test]
     fn permutations_and_relabels_share_the_canonical_form() {
         let mut rng = Lcg(0xCA90);
-        let base = sample();
-        let canon = base.canonical();
-        for round in 0..50 {
-            let variant = scrambled(&base, &mut rng);
-            let vc = variant.canonical();
-            assert_eq!(vc.instance(), canon.instance(), "round {round}");
-            assert_eq!(vc.fingerprint(), canon.fingerprint(), "round {round}");
+        for base in [sample(), shaped_sample()] {
+            let canon = base.canonical();
+            let canonical = canonical_instance(&base);
+            for round in 0..50 {
+                let variant = scrambled(&base, &mut rng);
+                assert_eq!(canonical_instance(&variant), canonical, "round {round}");
+                assert_eq!(
+                    variant.canonical().fingerprint(),
+                    canon.fingerprint(),
+                    "round {round}"
+                );
+            }
         }
     }
 
@@ -556,7 +655,7 @@ mod tests {
         // form depend on input order.
         let a = instance_from_pairs(2, 1, &[(5, 0), (3, 0), (5, 1)]).unwrap();
         let b = instance_from_pairs(2, 1, &[(5, 1), (3, 0), (5, 0)]).unwrap();
-        assert_eq!(a.canonical().instance(), b.canonical().instance());
+        assert_eq!(canonical_instance(&a), canonical_instance(&b));
         assert_eq!(a.fingerprint(), b.fingerprint());
         // Symmetric classes (identical signatures) are interchangeable.
         let c = instance_from_pairs(2, 1, &[(3, 0), (5, 0), (3, 1), (5, 1)]).unwrap();
@@ -629,10 +728,11 @@ mod tests {
             .build()
             .unwrap();
         let canon = shaped_sample().canonical();
-        assert_eq!(scrambled.canonical().instance(), canon.instance());
+        let canonical = canonical_instance(&shaped_sample());
+        assert_eq!(canonical_instance(&scrambled), canonical);
         assert_eq!(scrambled.fingerprint(), shaped_sample().fingerprint());
         // Canonicalising a canonical shaped instance is the identity.
-        let again = canon.instance().canonical();
+        let again = canonical.canonical();
         assert!(again.is_identity());
         assert_eq!(again.fingerprint(), canon.fingerprint());
     }
@@ -653,7 +753,7 @@ mod tests {
             .job_shaped(5, 0, menu_a)
             .build()
             .unwrap();
-        assert_eq!(x.canonical().instance(), y.canonical().instance());
+        assert_eq!(canonical_instance(&x), canonical_instance(&y));
         assert_eq!(x.fingerprint(), y.fingerprint());
     }
 

@@ -1,11 +1,19 @@
-//! Minimal JSON support used for (de)serialising instances.
+//! Minimal JSON support used for (de)serialising instances and the
+//! `ccs-wire/1` frames.
 //!
 //! The build environment of this workspace is fully offline, so `serde` /
 //! `serde_json` are not available; this module provides the small subset of
-//! JSON actually needed — objects, arrays, strings and (integer) numbers —
-//! with a hand-rolled recursive-descent parser.  All numbers appearing in
-//! serialised instances are unsigned integers, which are kept exact as
-//! `i128` (floats are parsed but only needed for forward compatibility).
+//! JSON actually needed, in two parts:
+//!
+//! * [`parse`], a recursive-descent parser into a [`JsonValue`] tree.  All
+//!   numbers appearing in serialised instances are unsigned integers, which
+//!   are kept exact as `i128` (floats are parsed but only needed for
+//!   forward compatibility).
+//! * [`JsonWriter`], a streaming writer of compact JSON.  The instance,
+//!   error and wire-frame encoders write through it, straight from typed
+//!   values, and so does [`JsonValue::to_json`].  Objects must be written in
+//!   ascending key order — the order a `BTreeMap` tree emits — and debug
+//!   builds assert it.
 
 use crate::error::{CcsError, Result};
 use std::collections::BTreeMap;
@@ -99,9 +107,10 @@ impl JsonValue {
 
     /// Serialises the value to a compact JSON string.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
-        out
+        JsonWriter::line(|w| {
+            w.value(self);
+        })
+        .into_string()
     }
 
     /// Serialises the value to an indented, diff-friendly JSON string
@@ -143,43 +152,7 @@ impl JsonValue {
                 indent(out, depth);
                 out.push('}');
             }
-            other => other.write(out),
-        }
-    }
-
-    fn write(&self, out: &mut String) {
-        match self {
-            JsonValue::Null => out.push_str("null"),
-            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JsonValue::Int(v) => {
-                let _ = write!(out, "{v}");
-            }
-            JsonValue::Float(v) => {
-                let _ = write!(out, "{v}");
-            }
-            JsonValue::Str(s) => write_string(s, out),
-            JsonValue::Array(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
-            JsonValue::Object(map) => {
-                out.push('{');
-                for (i, (key, value)) in map.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_string(key, out);
-                    out.push(':');
-                    value.write(out);
-                }
-                out.push('}');
-            }
+            other => out.push_str(&other.to_json()),
         }
     }
 }
@@ -248,36 +221,246 @@ impl<T: Into<JsonValue>> From<Vec<T>> for JsonValue {
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// A compact JSON document as [`JsonWriter`] wrote it: one NDJSON line,
+/// without its newline.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JsonLine(String);
+
+impl JsonLine {
+    /// The document as a new string; [`JsonLine::into_string`] moves it
+    /// out instead.
+    pub fn to_json(&self) -> String {
+        self.0.clone()
+    }
+
+    /// The document.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+
+    /// The document, moved out.
+    pub fn into_string(self) -> String {
+        self.0
+    }
+}
+
+/// A streaming writer of compact JSON into one string.
+///
+/// Containers are written by closures, so every `{` and `[` is closed:
+///
+/// ```
+/// use ccs_core::json::JsonWriter;
+/// let line = JsonWriter::line(|w| {
+///     w.object(|w| {
+///         w.key("d").int(3);
+///         w.key("n").int(-43);
+///     });
+/// });
+/// assert_eq!(line.as_str(), r#"{"d":3,"n":-43}"#);
+/// ```
+///
+/// Members of an object must be written in ascending key order, the order
+/// a [`JsonValue`] tree emits, so one value has one encoding whichever way
+/// it is written.  Debug builds assert it, duplicate keys included.
+#[derive(Debug, Default)]
+pub struct JsonWriter {
+    out: String,
+    /// The innermost open container already holds a value, so the next
+    /// value or key needs a comma.
+    comma: bool,
+    /// The last key of each open object (debug builds only).
+    #[cfg(debug_assertions)]
+    keys: Vec<Option<String>>,
+}
+
+impl JsonWriter {
+    /// Writes one document with `body` and returns it.
+    pub fn line(body: impl FnOnce(&mut JsonWriter)) -> JsonLine {
+        let mut w = JsonWriter::default();
+        body(&mut w);
+        JsonLine(w.out)
+    }
+
+    fn separate(&mut self) {
+        if self.comma {
+            self.out.push(',');
         }
     }
+
+    /// Writes an object whose members `body` writes.
+    pub fn object(&mut self, body: impl FnOnce(&mut JsonWriter)) -> &mut Self {
+        self.separate();
+        self.out.push('{');
+        self.comma = false;
+        #[cfg(debug_assertions)]
+        self.keys.push(None);
+        body(self);
+        #[cfg(debug_assertions)]
+        self.keys.pop();
+        self.out.push('}');
+        self.comma = true;
+        self
+    }
+
+    /// Writes an array whose items `body` writes.
+    pub fn array(&mut self, body: impl FnOnce(&mut JsonWriter)) -> &mut Self {
+        self.separate();
+        self.out.push('[');
+        self.comma = false;
+        body(self);
+        self.out.push(']');
+        self.comma = true;
+        self
+    }
+
+    /// Writes the key of the next member of the innermost object; the
+    /// member's value follows.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        #[cfg(debug_assertions)]
+        {
+            let last = self
+                .keys
+                .last_mut()
+                .expect("a key is written inside an object");
+            if let Some(last) = last {
+                debug_assert!(
+                    last.as_str() < key,
+                    "object keys out of order: '{key}' after '{last}'"
+                );
+            }
+            *last = Some(key.to_string());
+        }
+        self.separate();
+        write_string(key, &mut self.out);
+        self.out.push(':');
+        self.comma = false;
+        self
+    }
+
+    /// Writes one scalar value with `write`.
+    fn scalar(&mut self, write: impl FnOnce(&mut String)) -> &mut Self {
+        self.separate();
+        write(&mut self.out);
+        self.comma = true;
+        self
+    }
+
+    fn raw(&mut self, text: &str) -> &mut Self {
+        self.scalar(|out| out.push_str(text))
+    }
+
+    /// Writes an unsigned integer.
+    pub fn u64(&mut self, v: u64) -> &mut Self {
+        self.scalar(|out| push_u64(out, v))
+    }
+
+    /// Writes an integer; values that fit in a `u64` skip the formatter.
+    pub fn int(&mut self, v: i128) -> &mut Self {
+        match u64::try_from(v) {
+            Ok(v) => self.u64(v),
+            Err(_) => self.raw(&v.to_string()),
+        }
+    }
+
+    /// Writes a float as `JsonValue::from(v)` would hold it: `null` when
+    /// not finite, an integer when integral and below 10¹⁵ in magnitude.
+    pub fn f64(&mut self, v: f64) -> &mut Self {
+        if !v.is_finite() {
+            self.raw("null")
+        } else if v.fract() == 0.0 && v.abs() < 1e15 {
+            self.int(v as i128)
+        } else {
+            self.raw(&v.to_string())
+        }
+    }
+
+    /// Writes a string, escaped.
+    pub fn str(&mut self, s: &str) -> &mut Self {
+        self.scalar(|out| write_string(s, out))
+    }
+
+    /// Writes `true` or `false`.
+    pub fn bool(&mut self, b: bool) -> &mut Self {
+        self.raw(if b { "true" } else { "false" })
+    }
+
+    /// Writes a parsed tree.
+    pub fn value(&mut self, value: &JsonValue) -> &mut Self {
+        match value {
+            JsonValue::Null => self.raw("null"),
+            JsonValue::Bool(b) => self.bool(*b),
+            JsonValue::Int(v) => self.int(*v),
+            JsonValue::Float(v) => self.raw(&v.to_string()),
+            JsonValue::Str(s) => self.str(s),
+            JsonValue::Array(items) => self.array(|w| {
+                for item in items {
+                    w.value(item);
+                }
+            }),
+            JsonValue::Object(map) => self.object(|w| {
+                for (key, value) in map {
+                    w.key(key).value(value);
+                }
+            }),
+        }
+    }
+}
+
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// Appends `s` as a JSON string: `"` and `\` escaped, `\n`, `\r` and `\t`
+/// by name and other control characters as `\u00XX`; everything else,
+/// non-ASCII included, verbatim.
+fn write_string(s: &str, out: &mut String) {
+    out.push('"');
+    let mut verbatim = 0;
+    for (at, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[verbatim..at]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
+        }
+        verbatim = at + 1;
+    }
+    out.push_str(&s[verbatim..]);
     out.push('"');
 }
 
-/// Serialises a [`CcsError`] for the `ccs-wire/1` protocol: an object with a
+/// Writes a [`CcsError`] for the `ccs-wire/1` protocol: an object with a
 /// stable `kind` discriminant and, for message-carrying variants, a
 /// `message` member.
-pub fn error_to_json(err: &CcsError) -> JsonValue {
+pub fn write_error(w: &mut JsonWriter, err: &CcsError) {
     // The unsupported-model frame carries the verbatim model string under
     // `model` (not `message`): clients match on it for forward-compat
     // negotiation, so it must stay machine-readable rather than prose.
     if let CcsError::UnsupportedModel(model) = err {
-        let mut obj = JsonValue::object();
-        obj.set("kind", "unsupported-model");
-        obj.set("model", model.as_str());
-        return obj;
+        w.object(|w| {
+            w.key("kind").str("unsupported-model");
+            w.key("model").str(model);
+        });
+        return;
     }
     let (kind, message) = match err {
         CcsError::InvalidInstance(m) => ("invalid_instance", Some(m)),
@@ -290,15 +473,15 @@ pub fn error_to_json(err: &CcsError) -> JsonValue {
         CcsError::Overloaded(m) => ("overloaded", Some(m)),
         CcsError::UnsupportedModel(_) => unreachable!("handled above"),
     };
-    let mut obj = JsonValue::object();
-    obj.set("kind", kind);
-    if let Some(message) = message {
-        obj.set("message", message.as_str());
-    }
-    obj
+    w.object(|w| {
+        w.key("kind").str(kind);
+        if let Some(message) = message {
+            w.key("message").str(message);
+        }
+    });
 }
 
-/// Parses a [`CcsError`] from its [`error_to_json`] form.
+/// Parses a [`CcsError`] from its [`write_error`] form.
 pub fn error_from_json(value: &JsonValue) -> Result<CcsError> {
     let kind = value
         .get("kind")
@@ -497,12 +680,33 @@ impl Parser<'_> {
                             if self.pos + 5 > self.bytes.len() {
                                 return Err(err("truncated \\u escape"));
                             }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|_| err("invalid \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| err("invalid \\u escape"))?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                            let code = self
+                                .hex4(self.pos + 1)
+                                .ok_or_else(|| err("invalid \\u escape"))?;
                             self.pos += 4;
+                            // A high surrogate followed by an escaped low one
+                            // is a UTF-16 pair: one character outside the
+                            // BMP.  An unpaired surrogate stays U+FFFD.
+                            let low = match code {
+                                0xD800..=0xDBFF
+                                    if self.bytes.get(self.pos + 1..self.pos + 3)
+                                        == Some(b"\\u") =>
+                                {
+                                    self.hex4(self.pos + 3)
+                                        .filter(|low| (0xDC00..=0xDFFF).contains(low))
+                                }
+                                _ => None,
+                            };
+                            let ch = match low {
+                                Some(low) => {
+                                    self.pos += 6;
+                                    char::from_u32(
+                                        0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00),
+                                    )
+                                }
+                                None => char::from_u32(code),
+                            };
+                            out.push(ch.unwrap_or('\u{fffd}'));
                         }
                         _ => return Err(err("invalid escape sequence")),
                     }
@@ -524,6 +728,15 @@ impl Parser<'_> {
                 }
             }
         }
+    }
+
+    /// The code unit spelled by the four hex digits at `at`, if they are
+    /// four hex digits.
+    fn hex4(&self, at: usize) -> Option<u32> {
+        self.bytes
+            .get(at..at + 4)?
+            .iter()
+            .try_fold(0, |code, &b| Some(code << 4 | char::from(b).to_digit(16)?))
     }
 
     fn number(&mut self) -> Result<JsonValue> {
@@ -682,14 +895,14 @@ mod tests {
             CcsError::unsupported_model("quantum"),
         ];
         for case in cases {
-            let json = error_to_json(&case).to_json();
+            let json = JsonWriter::line(|w| write_error(w, &case)).to_json();
             let back = error_from_json(&parse(&json).unwrap()).unwrap();
             assert_eq!(back, case);
         }
         // The unsupported-model frame is pinned: `kind` is the hyphenated
         // wire id and the offending string rides under `model`.
         assert_eq!(
-            error_to_json(&CcsError::unsupported_model("quantum")).to_json(),
+            JsonWriter::line(|w| write_error(w, &CcsError::unsupported_model("quantum"))).as_str(),
             r#"{"kind":"unsupported-model","model":"quantum"}"#
         );
         assert!(error_from_json(&parse("{}").unwrap()).is_err());
@@ -703,5 +916,138 @@ mod tests {
         let pretty = v.to_json_pretty();
         assert!(pretty.contains('\n'));
         assert_eq!(parse(&pretty).unwrap(), v);
+    }
+
+    #[test]
+    fn escaped_surrogate_pairs_decode_to_one_character() {
+        // Python's `json.dumps("x😀y")` with the default `ensure_ascii`.
+        assert_eq!(
+            parse(r#""x\ud83d\ude00y""#).unwrap(),
+            JsonValue::Str("x😀y".to_string())
+        );
+        assert_eq!(
+            parse(r#""\uD834\uDD1E""#).unwrap(),
+            JsonValue::Str("\u{1d11e}".to_string())
+        );
+        // Unpaired halves stay U+FFFD, and the escape after a lone high
+        // surrogate is decoded on its own.
+        for (src, want) in [
+            (r#""\ud83d""#, "\u{fffd}"),
+            (r#""\ude00x""#, "\u{fffd}x"),
+            (r#""\ud83dx""#, "\u{fffd}x"),
+            (r#""\ud83d\u0041""#, "\u{fffd}A"),
+            (r#""\ud83d\ud83d\ude00""#, "\u{fffd}😀"),
+            (r#""\ude00\ud83d""#, "\u{fffd}\u{fffd}"),
+        ] {
+            assert_eq!(
+                parse(src).unwrap(),
+                JsonValue::Str(want.to_string()),
+                "{src}"
+            );
+        }
+        // A broken second escape is reported as before, not swallowed.
+        assert_eq!(
+            parse(r#""\ud83d\uZZZZ""#).unwrap_err(),
+            err("invalid \\u escape")
+        );
+        assert_eq!(
+            parse(r#""\ud83d\ude0""#).unwrap_err(),
+            err("invalid \\u escape")
+        );
+    }
+
+    #[test]
+    fn unicode_escapes_need_exactly_four_hex_digits() {
+        assert_eq!(
+            parse(r#""\u00e9""#).unwrap(),
+            JsonValue::Str("é".to_string())
+        );
+        assert_eq!(
+            parse(r#""\u00E9""#).unwrap(),
+            JsonValue::Str("é".to_string())
+        );
+        for bad in [
+            r#""\u+0e9""#,
+            r#""\u-0e9""#,
+            r#""\u 0e9""#,
+            r#""\u0g00""#,
+            r#""\u00é""#,
+        ] {
+            assert_eq!(parse(bad).unwrap_err(), err("invalid \\u escape"), "{bad}");
+        }
+        assert_eq!(parse(r#""\u00""#).unwrap_err(), err("truncated \\u escape"));
+    }
+
+    #[test]
+    fn writer_matches_the_tree_encoding() {
+        let mut obj = JsonValue::object();
+        obj.set("big", JsonValue::Int(i128::MAX));
+        obj.set("small", JsonValue::Int(i128::MIN));
+        obj.set("neg", JsonValue::Int(i64::MIN as i128));
+        obj.set("max", u64::MAX);
+        obj.set("zero", 0u64);
+        obj.set("text", "a\"b\\c\n\r\t\u{1}\u{1f}é日😀");
+        obj.set("list", vec![1.5, 2.0, -0.25]);
+        obj.set("empty", JsonValue::Array(Vec::new()));
+        obj.set("nested", JsonValue::object());
+        let line = JsonWriter::line(|w| {
+            w.object(|w| {
+                w.key("big").int(i128::MAX);
+                w.key("empty").array(|_| {});
+                w.key("list").array(|w| {
+                    w.f64(1.5).f64(2.0).f64(-0.25);
+                });
+                w.key("max").u64(u64::MAX);
+                w.key("neg").int(i64::MIN as i128);
+                w.key("nested").object(|_| {});
+                w.key("small").int(i128::MIN);
+                w.key("text").str("a\"b\\c\n\r\t\u{1}\u{1f}é日😀");
+                w.key("zero").u64(0);
+            });
+        });
+        assert_eq!(line.as_str(), obj.to_json());
+        assert_eq!(parse(line.as_str()).unwrap(), obj);
+        assert_eq!(
+            line.as_str(),
+            concat!(
+                r#"{"big":170141183460469231731687303715884105727,"empty":[],"#,
+                r#""list":[1.5,2,-0.25],"max":18446744073709551615,"#,
+                r#""neg":-9223372036854775808,"nested":{},"#,
+                r#""small":-170141183460469231731687303715884105728,"#,
+                r#""text":"a\"b\\c\n\r\t\u0001\u001fé日😀","zero":0}"#
+            )
+        );
+        // Floats follow `From<f64>`: null when not finite, integers when
+        // integral below 1e15.
+        for v in [f64::NAN, f64::INFINITY, 3.0, -7.0, 1e15, 2.5e-7, -0.0] {
+            let line = JsonWriter::line(|w| {
+                w.f64(v);
+            });
+            assert_eq!(line.as_str(), JsonValue::from(v).to_json(), "{v}");
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "object keys out of order")]
+    fn writer_asserts_sorted_keys() {
+        JsonWriter::line(|w| {
+            w.object(|w| {
+                w.key("b").u64(1);
+                w.key("a").u64(2);
+            });
+        });
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "object keys out of order")]
+    fn writer_asserts_distinct_keys() {
+        JsonWriter::line(|w| {
+            w.object(|w| {
+                w.key("a").u64(1);
+                w.key("a").u64(2);
+            });
+        });
     }
 }

@@ -124,7 +124,9 @@ impl Service {
             // Sampled here, in line order, so the frame observes every
             // admission decision that preceded it on its connection.
             Ok(WireFrame::Stats { id }) => {
-                return Pending::Decided(wire::stats_response_to_json(&id, &self.stats()).to_json())
+                return Pending::Decided(
+                    wire::stats_response_to_json(&id, &self.stats()).into_string(),
+                )
             }
             Ok(WireFrame::Session(frame)) => {
                 let (line, event) =
@@ -418,7 +420,7 @@ impl Connection {
                 unreachable!("matched a finished solve above")
             };
             *slot = Pending::Decided(match job.handle.wait() {
-                Ok(solution) => wire::solution_to_json(&job.id, &solution).to_json(),
+                Ok(solution) => wire::solution_to_json(&job.id, &solution).into_string(),
                 Err(error) => error_line(&job.id, &error),
             });
             service.ledger().complete(&job.tenant);
@@ -576,5 +578,5 @@ fn pump(mut input: impl Read, credits: &Receiver<()>, events: &Sender<Event>) {
 }
 
 fn error_line(id: &str, error: &CcsError) -> String {
-    wire::error_response_to_json(id, error).to_json()
+    wire::error_response_to_json(id, error).into_string()
 }

@@ -58,7 +58,7 @@ pub fn handle_session_frame(
     let unknown = |id: &str, session: &str| {
         let error = CcsError::invalid_parameter(format!("unknown session '{session}'"));
         (
-            wire::error_response_to_json(id, &error).to_json(),
+            wire::error_response_to_json(id, &error).into_string(),
             SessionEvent::NoChange,
         )
     };
@@ -98,7 +98,7 @@ pub fn handle_session_frame(
                 // earlier deltas of the frame stay applied).
                 if let Err(error) = live.instance.apply(delta) {
                     return (
-                        wire::error_response_to_json(&id, &error).to_json(),
+                        wire::error_response_to_json(&id, &error).into_string(),
                         SessionEvent::NoChange,
                     );
                 }
@@ -120,7 +120,7 @@ pub fn handle_session_frame(
                 Ok(instance) => instance,
                 Err(error) => {
                     return (
-                        wire::error_response_to_json(&id, &error).to_json(),
+                        wire::error_response_to_json(&id, &error).into_string(),
                         SessionEvent::NoChange,
                     )
                 }
@@ -145,9 +145,9 @@ pub fn handle_session_frame(
                             makespan: solution.report.makespan,
                         },
                     );
-                    wire::solution_to_json(&id, &solution).to_json()
+                    wire::solution_to_json(&id, &solution).into_string()
                 }
-                Err(error) => wire::error_response_to_json(&id, &error).to_json(),
+                Err(error) => wire::error_response_to_json(&id, &error).into_string(),
             };
             (line, event)
         }

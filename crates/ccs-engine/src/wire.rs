@@ -21,11 +21,15 @@
 //! — makespans of the splittable/preemptive models are not generally
 //! representable as floats and the whole workspace is built on exact
 //! arithmetic; the wire format preserves that.
+//!
+//! Every frame is written through one [`JsonWriter`], straight from the
+//! typed values, with each object's members in key order.  Inbound frames
+//! are decoded from a [`parse`]d tree.
 
 use crate::cache::CacheOutcome;
 use crate::engine::Solution;
 use crate::policy::{Accuracy, SolveRequest};
-use ccs_core::json::{error_to_json, parse, JsonValue};
+use ccs_core::json::{parse, write_error, JsonLine, JsonValue, JsonWriter};
 use ccs_core::solver::SolveStats;
 use ccs_core::{
     AnySchedule, CcsError, ClassRun, Guarantee, Instance, MoldableSchedule, NonPreemptiveSchedule,
@@ -38,6 +42,13 @@ pub const SCHEMA: &str = "ccs-wire/1";
 
 fn err(msg: impl Into<String>) -> CcsError {
     CcsError::invalid_parameter(format!("wire: {}", msg.into()))
+}
+
+/// Writes one frame: an object whose members `members` writes.
+fn frame_line(members: impl FnOnce(&mut JsonWriter)) -> JsonLine {
+    JsonWriter::line(|w| {
+        w.object(members);
+    })
 }
 
 /// A parsed service request: the caller's correlation id, the instance and
@@ -212,11 +223,11 @@ pub struct WireResponse {
 // Rationals.
 // ---------------------------------------------------------------------------
 
-fn rational_to_json(r: Rational) -> JsonValue {
-    let mut obj = JsonValue::object();
-    obj.set("n", JsonValue::Int(r.numer()));
-    obj.set("d", JsonValue::Int(r.denom()));
-    obj
+fn write_rational(w: &mut JsonWriter, r: Rational) {
+    w.object(|w| {
+        w.key("d").int(r.denom());
+        w.key("n").int(r.numer());
+    });
 }
 
 fn rational_from_json(value: &JsonValue) -> Result<Rational> {
@@ -255,49 +266,36 @@ pub fn fingerprint_from_hex(hex: &str) -> Result<ccs_core::Fingerprint> {
 // Requests.
 // ---------------------------------------------------------------------------
 
-/// Serialises a request frame.
-pub fn request_to_json(req: &WireRequest) -> JsonValue {
-    let mut obj = JsonValue::object();
-    obj.set("schema", SCHEMA);
-    obj.set("id", req.id.as_str());
-    if let Some(tenant) = &req.tenant {
-        obj.set("tenant", tenant.as_str());
-    }
-    obj.set("instance", req.instance.to_json_value());
-    solve_params_to_json(&mut obj, &req.request);
-    obj
+/// Writes the value of the `accuracy` member.
+fn write_accuracy(w: &mut JsonWriter, accuracy: Accuracy) {
+    match accuracy {
+        Accuracy::Auto => w.str("auto"),
+        Accuracy::Exact => w.str("exact"),
+        Accuracy::Epsilon(eps) => w.object(|w| {
+            w.key("epsilon").f64(eps);
+        }),
+    };
 }
 
-/// Emits the solve parameters shared by plain requests and session solves
-/// onto `obj`: `model`, `accuracy`, `budget_ms`, `validate` and `warm`.
-fn solve_params_to_json(obj: &mut JsonValue, request: &SolveRequest) {
-    obj.set("model", request.model.name());
-    let accuracy = match request.accuracy {
-        Accuracy::Auto => JsonValue::Str("auto".to_string()),
-        Accuracy::Exact => JsonValue::Str("exact".to_string()),
-        Accuracy::Epsilon(eps) => {
-            let mut o = JsonValue::object();
-            o.set("epsilon", eps);
-            o
-        }
-    };
-    obj.set("accuracy", accuracy);
+/// Writes the `budget_ms` member of a request with a budget.
+fn write_budget(w: &mut JsonWriter, request: &SolveRequest) {
     if let Some(budget) = request.budget {
-        obj.set("budget_ms", budget_ms_to_json(budget));
+        write_budget_ms(w.key("budget_ms"), budget);
     }
+}
+
+/// Writes the solve parameters that sort after every other member of the
+/// frames carrying them: `validate` (when set) and `warm`.
+fn write_validate_and_warm(w: &mut JsonWriter, request: &SolveRequest) {
     if request.validate {
-        obj.set("validate", true);
+        w.key("validate").bool(true);
     }
     if let Some(warm) = request.warm {
-        obj.set("warm", warm_to_json(&warm));
+        w.key("warm").object(|w| {
+            write_rational(w.key("makespan"), warm.makespan);
+            w.key("parent").str(&fingerprint_to_hex(warm.parent));
+        });
     }
-}
-
-fn warm_to_json(warm: &crate::policy::WarmStart) -> JsonValue {
-    let mut obj = JsonValue::object();
-    obj.set("parent", fingerprint_to_hex(warm.parent));
-    obj.set("makespan", rational_to_json(warm.makespan));
-    obj
 }
 
 fn warm_from_json(value: &JsonValue) -> Result<crate::policy::WarmStart> {
@@ -318,7 +316,19 @@ fn warm_from_json(value: &JsonValue) -> Result<crate::policy::WarmStart> {
 
 /// Serialises a request frame to one NDJSON line (no trailing newline).
 pub fn request_to_line(req: &WireRequest) -> String {
-    request_to_json(req).to_json()
+    frame_line(|w| {
+        write_accuracy(w.key("accuracy"), req.request.accuracy);
+        write_budget(w, &req.request);
+        w.key("id").str(&req.id);
+        req.instance.write_json(w.key("instance"));
+        w.key("model").str(req.request.model.name());
+        w.key("schema").str(SCHEMA);
+        if let Some(tenant) = &req.tenant {
+            w.key("tenant").str(tenant);
+        }
+        write_validate_and_warm(w, &req.request);
+    })
+    .into_string()
 }
 
 /// Encodes a budget as `budget_ms`: whole-millisecond budgets travel as
@@ -334,16 +344,16 @@ pub fn request_to_line(req: &WireRequest) -> String {
 /// `as_secs_f64() * 1000.0` it replaces.  Beyond that, only budgets on a
 /// whole-millisecond grid (the integer arm) stay exact; fractional ones may
 /// drift by a few nanoseconds, which no deadline can observe at that scale.
-fn budget_ms_to_json(budget: Duration) -> JsonValue {
+fn write_budget_ms(w: &mut JsonWriter, budget: Duration) {
     let nanos = budget.as_nanos();
     if nanos.is_multiple_of(1_000_000) {
-        JsonValue::Int((nanos / 1_000_000) as i128)
+        w.int((nanos / 1_000_000) as i128);
     } else {
-        JsonValue::from(nanos as f64 / 1e6)
+        w.f64(nanos as f64 / 1e6);
     }
 }
 
-/// Decodes `budget_ms` (see [`budget_ms_to_json`]): integers become exact
+/// Decodes `budget_ms` (see [`write_budget_ms`]): integers become exact
 /// whole milliseconds, fractional values are rounded to the nearest
 /// nanosecond.
 fn budget_ms_from_json(value: &JsonValue) -> Result<Duration> {
@@ -578,30 +588,33 @@ fn session_frame_from_json(value: &JsonValue) -> Result<SessionFrame> {
     }
 }
 
-/// Serialises a session frame ([`frame_from_json`] parses it back).
-pub fn session_frame_to_json(frame: &SessionFrame) -> JsonValue {
-    let mut obj = JsonValue::object();
-    obj.set("schema", SCHEMA);
-    obj.set("op", "session");
-    match frame {
+/// Serialises a session frame to one NDJSON line (no trailing newline);
+/// [`frame_from_json`] parses it back.
+pub fn session_frame_to_line(frame: &SessionFrame) -> String {
+    frame_line(|w| match frame {
         SessionFrame::Open {
             id,
             tenant,
             instance,
         } => {
-            obj.set("action", "open");
-            obj.set("id", id.as_str());
-            if let Some(tenant) = tenant {
-                obj.set("tenant", tenant.as_str());
-            }
+            w.key("action").str("open");
             match instance.materialize() {
-                Ok(inst) => obj.set("instance", inst.to_json_value()),
+                Ok(inst) => {
+                    w.key("id").str(id);
+                    inst.write_json(w.key("instance"));
+                }
                 // Empty sessions have no materialisable instance; the wire
                 // form carries the dimensions instead.
                 Err(_) => {
-                    obj.set("machines", instance.machines());
-                    obj.set("class_slots", instance.class_slots());
+                    w.key("class_slots").u64(instance.class_slots());
+                    w.key("id").str(id);
+                    w.key("machines").u64(instance.machines());
                 }
+            }
+            w.key("op").str("session");
+            w.key("schema").str(SCHEMA);
+            if let Some(tenant) = tenant {
+                w.key("tenant").str(tenant);
             }
         }
         SessionFrame::Delta {
@@ -609,43 +622,46 @@ pub fn session_frame_to_json(frame: &SessionFrame) -> JsonValue {
             session,
             deltas,
         } => {
-            obj.set("action", "delta");
-            obj.set("id", id.as_str());
-            obj.set("session", session.as_str());
-            obj.set(
-                "deltas",
-                JsonValue::Array(deltas.iter().map(ccs_session::delta_to_json).collect()),
-            );
+            w.key("action").str("delta");
+            w.key("deltas").array(|w| {
+                for delta in deltas {
+                    ccs_session::write_delta(w, delta);
+                }
+            });
+            w.key("id").str(id);
+            w.key("op").str("session");
+            w.key("schema").str(SCHEMA);
+            w.key("session").str(session);
         }
         SessionFrame::Solve {
             id,
             session,
             request,
         } => {
-            obj.set("action", "solve");
-            obj.set("id", id.as_str());
-            obj.set("session", session.as_str());
-            solve_params_to_json(&mut obj, request);
+            write_accuracy(w.key("accuracy"), request.accuracy);
+            w.key("action").str("solve");
+            write_budget(w, request);
+            w.key("id").str(id);
+            w.key("model").str(request.model.name());
+            w.key("op").str("session");
+            w.key("schema").str(SCHEMA);
+            w.key("session").str(session);
+            write_validate_and_warm(w, request);
         }
         SessionFrame::Close { id, session } => {
-            obj.set("action", "close");
-            obj.set("id", id.as_str());
-            obj.set("session", session.as_str());
+            w.key("action").str("close");
+            w.key("id").str(id);
+            w.key("op").str("session");
+            w.key("schema").str(SCHEMA);
+            w.key("session").str(session);
         }
-    }
-    obj
+    })
+    .into_string()
 }
 
-/// Serialises a session frame to one NDJSON line (no trailing newline).
-pub fn session_frame_to_line(frame: &SessionFrame) -> String {
-    session_frame_to_json(frame).to_json()
-}
-
-/// Serialises a `status: "session"` acknowledgement frame.
-pub fn session_ack_to_json(ack: &SessionAck) -> JsonValue {
-    let mut obj = JsonValue::object();
-    obj.set("schema", SCHEMA);
-    match ack {
+/// Serialises a `status: "session"` acknowledgement to one NDJSON line.
+pub fn session_ack_to_line(ack: &SessionAck) -> String {
+    frame_line(|w| match ack {
         SessionAck::State {
             id,
             session,
@@ -653,29 +669,26 @@ pub fn session_ack_to_json(ack: &SessionAck) -> JsonValue {
             machines,
             fingerprint,
         } => {
-            obj.set("id", id.as_str());
-            obj.set("status", "session");
-            obj.set("session", session.as_str());
-            obj.set("jobs", *jobs);
-            obj.set("machines", *machines);
-            obj.set("fingerprint", fingerprint_to_hex(*fingerprint));
+            w.key("fingerprint").str(&fingerprint_to_hex(*fingerprint));
+            w.key("id").str(id);
+            w.key("jobs").u64(*jobs);
+            w.key("machines").u64(*machines);
+            w.key("schema").str(SCHEMA);
+            w.key("session").str(session);
+            w.key("status").str("session");
         }
         SessionAck::Closed { id, session } => {
-            obj.set("id", id.as_str());
-            obj.set("status", "session");
-            obj.set("session", session.as_str());
-            obj.set("closed", true);
+            w.key("closed").bool(true);
+            w.key("id").str(id);
+            w.key("schema").str(SCHEMA);
+            w.key("session").str(session);
+            w.key("status").str("session");
         }
-    }
-    obj
+    })
+    .into_string()
 }
 
-/// Serialises a session acknowledgement to one NDJSON line.
-pub fn session_ack_to_line(ack: &SessionAck) -> String {
-    session_ack_to_json(ack).to_json()
-}
-
-/// Parses the wire form produced by [`session_ack_to_json`].
+/// Parses the wire form written by [`session_ack_to_line`].
 pub fn session_ack_from_json(value: &JsonValue) -> Result<SessionAck> {
     check_schema(value)?;
     let string = |key: &str| {
@@ -729,16 +742,12 @@ pub fn session_ack_from_line(line: &str) -> Result<SessionAck> {
 // Guarantees, stats, schedules.
 // ---------------------------------------------------------------------------
 
-fn guarantee_to_json(g: Guarantee) -> JsonValue {
+fn write_guarantee(w: &mut JsonWriter, g: Guarantee) {
     match g {
-        Guarantee::Exact => JsonValue::Str("exact".to_string()),
-        Guarantee::Heuristic => JsonValue::Str("heuristic".to_string()),
-        Guarantee::Factor(f) => {
-            let mut obj = JsonValue::object();
-            obj.set("factor", rational_to_json(f));
-            obj
-        }
-    }
+        Guarantee::Exact => w.str("exact"),
+        Guarantee::Heuristic => w.str("heuristic"),
+        Guarantee::Factor(f) => w.object(|w| write_rational(w.key("factor"), f)),
+    };
 }
 
 fn guarantee_from_json(value: &JsonValue) -> Result<Guarantee> {
@@ -754,12 +763,14 @@ fn guarantee_from_json(value: &JsonValue) -> Result<Guarantee> {
     }
 }
 
-fn stats_to_json(stats: &SolveStats) -> JsonValue {
-    let mut obj = JsonValue::object();
-    obj.set("search_iterations", stats.search_iterations);
-    obj.set("guesses_evaluated", stats.guesses_evaluated);
-    obj.set("configurations", stats.configurations);
-    obj
+fn write_stats(w: &mut JsonWriter, stats: &SolveStats) {
+    w.object(|w| {
+        w.key("configurations").u64(stats.configurations as u64);
+        w.key("guesses_evaluated")
+            .u64(stats.guesses_evaluated as u64);
+        w.key("search_iterations")
+            .u64(stats.search_iterations as u64);
+    });
 }
 
 fn stats_from_json(value: &JsonValue) -> Result<SolveStats> {
@@ -775,20 +786,6 @@ fn stats_from_json(value: &JsonValue) -> Result<SolveStats> {
         guesses_evaluated: count("guesses_evaluated")?,
         configurations: count("configurations")?,
     })
-}
-
-fn pieces_to_json(pieces: &[(usize, Rational)]) -> JsonValue {
-    JsonValue::Array(
-        pieces
-            .iter()
-            .map(|&(job, amount)| {
-                let mut piece = JsonValue::object();
-                piece.set("job", job);
-                piece.set("amount", rational_to_json(amount));
-                piece
-            })
-            .collect(),
-    )
 }
 
 fn pieces_from_json(value: &JsonValue) -> Result<Vec<(usize, Rational)>> {
@@ -811,107 +808,77 @@ fn pieces_from_json(value: &JsonValue) -> Result<Vec<(usize, Rational)>> {
         .collect()
 }
 
-fn schedule_to_json(schedule: &AnySchedule) -> JsonValue {
-    let mut obj = JsonValue::object();
-    match schedule {
+fn write_schedule(w: &mut JsonWriter, schedule: &AnySchedule) {
+    w.object(|w| match schedule {
         AnySchedule::NonPreemptive(s) => {
-            obj.set("kind", "non-preemptive");
-            obj.set(
-                "assignment",
-                JsonValue::Array(
-                    s.assignment()
-                        .iter()
-                        .map(|&m| JsonValue::Int(m as i128))
-                        .collect(),
-                ),
-            );
+            w.key("assignment").array(|w| {
+                for &machine in s.assignment() {
+                    w.u64(machine);
+                }
+            });
+            w.key("kind").str("non-preemptive");
         }
         AnySchedule::Splittable(s) => {
-            obj.set("kind", "splittable");
-            obj.set(
-                "explicit",
-                JsonValue::Array(
-                    s.explicit()
-                        .iter()
-                        .map(|em| {
-                            let mut machine = JsonValue::object();
-                            machine.set("machine", em.machine);
-                            machine.set("pieces", pieces_to_json(&em.pieces));
-                            machine
-                        })
-                        .collect(),
-                ),
-            );
-            obj.set(
-                "runs",
-                JsonValue::Array(
-                    s.runs()
-                        .iter()
-                        .map(|run| {
-                            let mut r = JsonValue::object();
-                            r.set("first_machine", run.first_machine);
-                            r.set("count", run.count);
-                            r.set("class", run.class);
-                            r.set("offset", rational_to_json(run.offset));
-                            r.set("chunk", rational_to_json(run.chunk));
-                            r
-                        })
-                        .collect(),
-                ),
-            );
+            w.key("explicit").array(|w| {
+                for em in s.explicit() {
+                    w.object(|w| {
+                        w.key("machine").u64(em.machine);
+                        w.key("pieces").array(|w| {
+                            for &(job, amount) in &em.pieces {
+                                w.object(|w| {
+                                    write_rational(w.key("amount"), amount);
+                                    w.key("job").u64(job as u64);
+                                });
+                            }
+                        });
+                    });
+                }
+            });
+            w.key("kind").str("splittable");
+            w.key("runs").array(|w| {
+                for run in s.runs() {
+                    w.object(|w| {
+                        write_rational(w.key("chunk"), run.chunk);
+                        w.key("class").u64(run.class as u64);
+                        w.key("count").u64(run.count);
+                        w.key("first_machine").u64(run.first_machine);
+                        write_rational(w.key("offset"), run.offset);
+                    });
+                }
+            });
         }
         AnySchedule::Preemptive(s) => {
-            obj.set("kind", "preemptive");
-            obj.set(
-                "machines",
-                JsonValue::Array(
-                    s.machines()
-                        .iter()
-                        .map(|pieces| {
-                            JsonValue::Array(
-                                pieces
-                                    .iter()
-                                    .map(|piece| {
-                                        let mut p = JsonValue::object();
-                                        p.set("job", piece.job);
-                                        p.set("start", rational_to_json(piece.start));
-                                        p.set("len", rational_to_json(piece.len));
-                                        p
-                                    })
-                                    .collect(),
-                            )
-                        })
-                        .collect(),
-                ),
-            );
+            w.key("kind").str("preemptive");
+            w.key("machines").array(|w| {
+                for pieces in s.machines() {
+                    w.array(|w| {
+                        for piece in pieces {
+                            w.object(|w| {
+                                w.key("job").u64(piece.job as u64);
+                                write_rational(w.key("len"), piece.len);
+                                write_rational(w.key("start"), piece.start);
+                            });
+                        }
+                    });
+                }
+            });
         }
         AnySchedule::Moldable(s) => {
-            obj.set("kind", "moldable");
-            obj.set(
-                "choices",
-                JsonValue::Array(
-                    s.choices()
-                        .iter()
-                        .map(|(shape, machines)| {
-                            let mut choice = JsonValue::object();
-                            choice.set("shape", *shape);
-                            choice.set(
-                                "machines",
-                                JsonValue::Array(
-                                    machines
-                                        .iter()
-                                        .map(|&m| JsonValue::Int(m as i128))
-                                        .collect(),
-                                ),
-                            );
-                            choice
-                        })
-                        .collect(),
-                ),
-            );
+            w.key("choices").array(|w| {
+                for (shape, machines) in s.choices() {
+                    w.object(|w| {
+                        w.key("machines").array(|w| {
+                            for &machine in machines {
+                                w.u64(machine);
+                            }
+                        });
+                        w.key("shape").u64(*shape as u64);
+                    });
+                }
+            });
+            w.key("kind").str("moldable");
         }
-    }
-    obj
+    });
 }
 
 fn schedule_from_json(value: &JsonValue) -> Result<AnySchedule> {
@@ -1043,18 +1010,35 @@ fn schedule_from_json(value: &JsonValue) -> Result<AnySchedule> {
 // Responses.
 // ---------------------------------------------------------------------------
 
-fn wire_solution_to_json(sol: &WireSolution) -> JsonValue {
-    let mut obj = JsonValue::object();
-    obj.set("solver", sol.solver.as_str());
-    obj.set("guarantee", guarantee_to_json(sol.guarantee));
-    obj.set("makespan", rational_to_json(sol.makespan));
-    obj.set("lower_bound", rational_to_json(sol.lower_bound));
-    obj.set("stats", stats_to_json(&sol.stats));
-    obj.set("schedule", schedule_to_json(&sol.schedule));
-    if let Some(cache) = sol.cache {
-        obj.set("cache", cache.name());
-    }
-    obj
+/// The members of a solution object, borrowed from a [`Solution`] or a
+/// [`WireSolution`].
+struct SolutionParts<'a> {
+    solver: &'a str,
+    guarantee: Guarantee,
+    makespan: Rational,
+    lower_bound: Rational,
+    stats: &'a SolveStats,
+    schedule: &'a AnySchedule,
+    cache: Option<CacheOutcome>,
+}
+
+fn solution_frame(id: &str, sol: SolutionParts<'_>) -> JsonLine {
+    frame_line(|w| {
+        w.key("id").str(id);
+        w.key("schema").str(SCHEMA);
+        w.key("solution").object(|w| {
+            if let Some(cache) = sol.cache {
+                w.key("cache").str(cache.name());
+            }
+            write_guarantee(w.key("guarantee"), sol.guarantee);
+            write_rational(w.key("lower_bound"), sol.lower_bound);
+            write_rational(w.key("makespan"), sol.makespan);
+            write_schedule(w.key("schedule"), sol.schedule);
+            w.key("solver").str(sol.solver);
+            write_stats(w.key("stats"), sol.stats);
+        });
+        w.key("status").str("ok");
+    })
 }
 
 fn cache_from_json(value: &JsonValue) -> Result<CacheOutcome> {
@@ -1100,43 +1084,50 @@ fn wire_solution_from_json(value: &JsonValue) -> Result<WireSolution> {
     })
 }
 
-fn response_frame(id: &str) -> JsonValue {
-    let mut obj = JsonValue::object();
-    obj.set("schema", SCHEMA);
-    obj.set("id", id);
-    obj
-}
-
 /// Serialises a success response for an engine [`Solution`].
-pub fn solution_to_json(id: &str, solution: &Solution) -> JsonValue {
-    wire_response_to_json(&WireResponse {
-        id: id.to_string(),
-        outcome: Ok(WireSolution::from(solution)),
-    })
+pub fn solution_to_json(id: &str, solution: &Solution) -> JsonLine {
+    let report = &solution.report;
+    solution_frame(
+        id,
+        SolutionParts {
+            solver: solution.solver,
+            guarantee: solution.guarantee,
+            makespan: report.makespan,
+            lower_bound: report.lower_bound,
+            stats: &report.stats,
+            schedule: &report.schedule,
+            cache: solution.cache,
+        },
+    )
 }
 
 /// Serialises an error response.
-pub fn error_response_to_json(id: &str, error: &CcsError) -> JsonValue {
-    wire_response_to_json(&WireResponse {
-        id: id.to_string(),
-        outcome: Err(error.clone()),
+pub fn error_response_to_json(id: &str, error: &CcsError) -> JsonLine {
+    frame_line(|w| {
+        write_error(w.key("error"), error);
+        w.key("id").str(id);
+        w.key("schema").str(SCHEMA);
+        w.key("status").str("error");
     })
 }
 
 /// Serialises a response frame (success or error).
-pub fn wire_response_to_json(response: &WireResponse) -> JsonValue {
-    let mut obj = response_frame(&response.id);
+pub fn wire_response_to_json(response: &WireResponse) -> JsonLine {
     match &response.outcome {
-        Ok(solution) => {
-            obj.set("status", "ok");
-            obj.set("solution", wire_solution_to_json(solution));
-        }
-        Err(error) => {
-            obj.set("status", "error");
-            obj.set("error", error_to_json(error));
-        }
+        Ok(sol) => solution_frame(
+            &response.id,
+            SolutionParts {
+                solver: &sol.solver,
+                guarantee: sol.guarantee,
+                makespan: sol.makespan,
+                lower_bound: sol.lower_bound,
+                stats: &sol.stats,
+                schedule: &sol.schedule,
+                cache: sol.cache,
+            },
+        ),
+        Err(error) => error_response_to_json(&response.id, error),
     }
-    obj
 }
 
 /// Parses a response frame.
@@ -1223,21 +1214,21 @@ pub struct ServiceStats {
     pub tenants: Vec<TenantStats>,
 }
 
-fn snapshot_to_json(snap: &ccs_core::StatsSnapshot) -> JsonValue {
-    let mut obj = JsonValue::object();
-    obj.set("solves", snap.solves);
-    obj.set("checkpoints", snap.checkpoints);
-    obj.set("search_iterations", snap.search_iterations);
-    obj.set("guesses_evaluated", snap.guesses_evaluated);
-    obj.set("configurations", snap.configurations);
-    obj.set("shed", snap.shed);
-    obj.set("queue_depth", snap.queue_depth);
-    obj.set("cache_hits", snap.cache_hits);
-    obj.set("cache_misses", snap.cache_misses);
-    obj.set("cache_evictions", snap.cache_evictions);
-    obj.set("warm_hits", snap.warm_hits);
-    obj.set("warm_misses", snap.warm_misses);
-    obj
+fn write_snapshot(w: &mut JsonWriter, snap: &ccs_core::StatsSnapshot) {
+    w.object(|w| {
+        w.key("cache_evictions").u64(snap.cache_evictions);
+        w.key("cache_hits").u64(snap.cache_hits);
+        w.key("cache_misses").u64(snap.cache_misses);
+        w.key("checkpoints").u64(snap.checkpoints);
+        w.key("configurations").u64(snap.configurations);
+        w.key("guesses_evaluated").u64(snap.guesses_evaluated);
+        w.key("queue_depth").u64(snap.queue_depth);
+        w.key("search_iterations").u64(snap.search_iterations);
+        w.key("shed").u64(snap.shed);
+        w.key("solves").u64(snap.solves);
+        w.key("warm_hits").u64(snap.warm_hits);
+        w.key("warm_misses").u64(snap.warm_misses);
+    });
 }
 
 fn snapshot_from_json(value: &JsonValue) -> Result<ccs_core::StatsSnapshot> {
@@ -1265,40 +1256,35 @@ fn snapshot_from_json(value: &JsonValue) -> Result<ccs_core::StatsSnapshot> {
 
 /// Serialises a `status: "stats"` response frame for a [`WireFrame::Stats`]
 /// poll.
-pub fn stats_response_to_json(id: &str, stats: &ServiceStats) -> JsonValue {
-    let mut payload = JsonValue::object();
-    payload.set("engine", snapshot_to_json(&stats.engine));
-    payload.set("connections", stats.connections);
-    payload.set("active_connections", stats.active_connections);
-    payload.set("admitted", stats.admitted);
-    payload.set("completed", stats.completed);
-    payload.set("shed_overload", stats.shed_overload);
-    payload.set("shed_quota", stats.shed_quota);
-    payload.set("sessions_opened", stats.sessions_opened);
-    payload.set("sessions_active", stats.sessions_active);
-    payload.set("stats_ticks", stats.stats_ticks);
-    payload.set(
-        "tenants",
-        JsonValue::Array(
-            stats
-                .tenants
-                .iter()
-                .map(|t| {
-                    let mut obj = JsonValue::object();
-                    obj.set("tenant", t.tenant.as_str());
-                    obj.set("admitted", t.admitted);
-                    obj.set("completed", t.completed);
-                    obj.set("shed", t.shed);
-                    obj.set("sessions", t.sessions);
-                    obj
-                })
-                .collect(),
-        ),
-    );
-    let mut obj = response_frame(id);
-    obj.set("status", "stats");
-    obj.set("stats", payload);
-    obj
+pub fn stats_response_to_json(id: &str, stats: &ServiceStats) -> JsonLine {
+    frame_line(|w| {
+        w.key("id").str(id);
+        w.key("schema").str(SCHEMA);
+        w.key("stats").object(|w| {
+            w.key("active_connections").u64(stats.active_connections);
+            w.key("admitted").u64(stats.admitted);
+            w.key("completed").u64(stats.completed);
+            w.key("connections").u64(stats.connections);
+            write_snapshot(w.key("engine"), &stats.engine);
+            w.key("sessions_active").u64(stats.sessions_active);
+            w.key("sessions_opened").u64(stats.sessions_opened);
+            w.key("shed_overload").u64(stats.shed_overload);
+            w.key("shed_quota").u64(stats.shed_quota);
+            w.key("stats_ticks").u64(stats.stats_ticks);
+            w.key("tenants").array(|w| {
+                for t in &stats.tenants {
+                    w.object(|w| {
+                        w.key("admitted").u64(t.admitted);
+                        w.key("completed").u64(t.completed);
+                        w.key("sessions").u64(t.sessions);
+                        w.key("shed").u64(t.shed);
+                        w.key("tenant").str(&t.tenant);
+                    });
+                }
+            });
+        });
+        w.key("status").str("stats");
+    })
 }
 
 /// Parses a `status: "stats"` response frame back into its id and payload.
@@ -1838,5 +1824,893 @@ mod tests {
              \"session\":\"s1\",\"closed\":false}}"
         );
         assert!(session_ack_from_line(&bad).is_err());
+    }
+
+    /// Deterministic LCG for the differential sweeps below.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn next(&mut self, bound: u64) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (self.0 >> 33) % bound.max(1)
+        }
+
+        fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
+            &items[self.next(items.len() as u64) as usize]
+        }
+
+        fn flip(&mut self) -> bool {
+            self.next(2) == 0
+        }
+    }
+
+    /// An id of up to six characters, quotes, backslashes, control
+    /// characters and non-ASCII among them.
+    fn random_id(rng: &mut Lcg) -> String {
+        let alphabet = [
+            "a", "Z", "7", "-", " ", "\"", "\\", "/", "\t", "\n", "\r", "\u{1}", "\u{1f}",
+            "\u{7f}", "é", "日", "😀", "\u{fffd}",
+        ];
+        (0..rng.next(7)).map(|_| *rng.pick(&alphabet)).collect()
+    }
+
+    /// A small random instance; with `shapes`, some jobs declare menus.
+    fn random_instance(rng: &mut Lcg, shapes: bool) -> Instance {
+        let machines = 1 + rng.next(4);
+        let mut builder = ccs_core::InstanceBuilder::new(machines, 1 + rng.next(3));
+        for _ in 0..1 + rng.next(7) {
+            let p = 1 + rng.next(30);
+            let label = rng.next(5) as u32 * 3;
+            let mut menu = Vec::new();
+            if shapes && rng.flip() {
+                menu.push((1, p));
+                for k in 2..=machines {
+                    if rng.flip() {
+                        menu.push((k, 1 + rng.next(p)));
+                    }
+                }
+            }
+            builder = builder.job_shaped(p, label, &menu);
+        }
+        builder.build().unwrap()
+    }
+
+    fn random_request(rng: &mut Lcg, model: ScheduleKind) -> SolveRequest {
+        let mut request = match rng.next(3) {
+            0 => SolveRequest::auto(model),
+            1 => SolveRequest::exact(model),
+            _ => SolveRequest::epsilon(model, *rng.pick(&[0.25, 0.3, 0.5, 1.0, 1.5, 2.0, 7.125]))
+                .unwrap(),
+        };
+        if rng.flip() {
+            request = request.with_budget(match rng.next(3) {
+                0 => Duration::from_millis(rng.next(100_000)),
+                1 => Duration::from_micros(1 + rng.next(10_000_000)),
+                _ => Duration::from_nanos(1 + rng.next(10_000_000_000)),
+            });
+        }
+        request.with_validate(rng.flip())
+    }
+
+    fn random_warm(rng: &mut Lcg) -> crate::policy::WarmStart {
+        crate::policy::WarmStart {
+            parent: ccs_core::Fingerprint(
+                u128::from(rng.next(u64::MAX)) << 64 | u128::from(rng.next(u64::MAX)),
+            ),
+            makespan: Rational::new(1 + rng.next(1000) as i128, 1 + rng.next(12) as i128),
+        }
+    }
+
+    fn random_rational(rng: &mut Lcg) -> Rational {
+        let numer = match rng.next(3) {
+            0 => rng.next(100) as i128,
+            1 => -(rng.next(1 << 40) as i128),
+            _ => (rng.next(u64::MAX) as i128) << 40,
+        };
+        Rational::new(numer, 1 + rng.next(1 << 20) as i128)
+    }
+
+    fn models() -> Vec<ScheduleKind> {
+        ccs_core::ModelSpec::all().map(|spec| spec.kind).collect()
+    }
+
+    /// Solution frames of all four models — cache marker absent, hit and
+    /// miss, and every guarantee kind — are the reference's bytes.
+    #[test]
+    fn solution_frames_match_the_tree_reference() {
+        let mut rng = Lcg(0x5017_0A11);
+        let uncached = crate::Engine::new();
+        let cached = crate::Engine::new().with_cache(64);
+        let mut outcomes = std::collections::BTreeSet::new();
+        for round in 0..160 {
+            let model = models()[round % 4];
+            let inst = random_instance(&mut rng, model == ScheduleKind::Moldable);
+            let mut request = random_request(&mut rng, model).with_validate(false);
+            // Keep the schemes cheap: ε ≥ 1.5 routes to a constant-factor
+            // algorithm.
+            if let Accuracy::Epsilon(eps) = request.accuracy {
+                request.accuracy = Accuracy::Epsilon(eps.max(1.5));
+            }
+            let id = random_id(&mut rng);
+            // Uncached, then a cache miss (or a hit on a repeat), then a hit.
+            for engine in [&uncached, &cached, &cached] {
+                let sol = match engine.solve(&inst, &request) {
+                    Ok(sol) => sol,
+                    Err(error) => {
+                        assert_eq!(
+                            error_response_to_json(&id, &error).as_str(),
+                            reference::error_response_to_json(&id, &error).to_json(),
+                            "round {round}"
+                        );
+                        continue;
+                    }
+                };
+                outcomes.insert((model.to_string(), sol.cache.map(|cache| cache.name())));
+                check_solution(&mut rng, round, &id, &sol);
+            }
+        }
+        // The sweep reached every model, with and without the cache.
+        for model in models() {
+            for cache in [None, Some("hit"), Some("miss")] {
+                assert!(
+                    outcomes.contains(&(model.to_string(), cache)),
+                    "{model} {cache:?}"
+                );
+            }
+        }
+    }
+
+    /// Checks one solution's frame, and the same solution through the
+    /// client-side mirror, against the reference.
+    fn check_solution(rng: &mut Lcg, round: usize, id: &str, sol: &Solution) {
+        let line = solution_to_json(id, sol);
+        assert_eq!(
+            line.as_str(),
+            reference::solution_to_json(id, sol).to_json(),
+            "round {round}"
+        );
+        // Under every guarantee kind and a random cache marker.
+        let mut wire = WireSolution::from(sol);
+        wire.guarantee = match rng.next(3) {
+            0 => Guarantee::Exact,
+            1 => Guarantee::Heuristic,
+            _ => Guarantee::Factor(random_rational(rng)),
+        };
+        wire.cache = *rng.pick(&[None, Some(CacheOutcome::Hit), Some(CacheOutcome::Miss)]);
+        wire.makespan = random_rational(rng);
+        let response = WireResponse {
+            id: id.to_string(),
+            outcome: Ok(wire),
+        };
+        assert_eq!(
+            wire_response_to_json(&response).as_str(),
+            reference::wire_response_to_json(&response).to_json(),
+            "round {round}"
+        );
+    }
+
+    /// Every error variant, stats payloads with tenants and both session
+    /// acknowledgements are the reference's bytes.
+    #[test]
+    fn error_stats_and_ack_frames_match_the_tree_reference() {
+        let mut rng = Lcg(0xE5_7A75);
+        for round in 0..200 {
+            let id = random_id(&mut rng);
+            let message = random_id(&mut rng);
+            let errors = [
+                CcsError::InvalidInstance(message.clone()),
+                CcsError::InvalidSchedule(message.clone()),
+                CcsError::Infeasible(message.clone()),
+                CcsError::Internal(message.clone()),
+                CcsError::InvalidParameter(message.clone()),
+                CcsError::DeadlineExceeded,
+                CcsError::Cancelled,
+                CcsError::Overloaded(message.clone()),
+                CcsError::UnsupportedModel(message.clone()),
+            ];
+            for error in &errors {
+                assert_eq!(
+                    error_response_to_json(&id, error).as_str(),
+                    reference::error_response_to_json(&id, error).to_json(),
+                    "round {round}"
+                );
+            }
+            let mut count = || rng.next(if round % 2 == 0 { 10 } else { u64::MAX });
+            let engine = ccs_core::StatsSnapshot {
+                solves: count(),
+                checkpoints: count(),
+                search_iterations: count(),
+                guesses_evaluated: count(),
+                configurations: count(),
+                shed: count(),
+                queue_depth: count(),
+                cache_hits: count(),
+                cache_misses: count(),
+                cache_evictions: count(),
+                warm_hits: count(),
+                warm_misses: count(),
+            };
+            let mut stats = ServiceStats {
+                engine,
+                connections: count(),
+                active_connections: count(),
+                admitted: count(),
+                completed: count(),
+                shed_overload: count(),
+                shed_quota: count(),
+                sessions_opened: count(),
+                sessions_active: count(),
+                stats_ticks: count(),
+                tenants: Vec::new(),
+            };
+            for _ in 0..rng.next(4) {
+                stats.tenants.push(TenantStats {
+                    tenant: random_id(&mut rng),
+                    admitted: rng.next(100),
+                    completed: rng.next(100),
+                    shed: rng.next(100),
+                    sessions: rng.next(100),
+                });
+            }
+            assert_eq!(
+                stats_response_to_json(&id, &stats).as_str(),
+                reference::stats_response_to_json(&id, &stats).to_json(),
+                "round {round}"
+            );
+            let acks = [
+                SessionAck::State {
+                    id: id.clone(),
+                    session: random_id(&mut rng),
+                    jobs: rng.next(u64::MAX),
+                    machines: rng.next(1000),
+                    fingerprint: random_warm(&mut rng).parent,
+                },
+                SessionAck::Closed {
+                    id: id.clone(),
+                    session: random_id(&mut rng),
+                },
+            ];
+            for ack in &acks {
+                assert_eq!(
+                    session_ack_to_line(ack),
+                    reference::session_ack_to_json(ack).to_json(),
+                    "round {round}"
+                );
+            }
+        }
+    }
+
+    fn random_wire_request(rng: &mut Lcg, warm: bool) -> WireRequest {
+        let model = *rng.pick(&models());
+        let mut request = random_request(rng, model);
+        if warm && rng.flip() {
+            request = request.with_warm(random_warm(rng));
+        }
+        WireRequest {
+            id: random_id(rng),
+            tenant: rng.flip().then(|| random_id(rng)),
+            instance: {
+                let shapes = rng.next(4) == 0;
+                random_instance(rng, shapes)
+            },
+            request,
+        }
+    }
+
+    fn random_session_frame(rng: &mut Lcg) -> SessionFrame {
+        let id = random_id(rng);
+        let session = format!("s{}", rng.next(100));
+        match rng.next(5) {
+            0 => SessionFrame::Open {
+                id,
+                tenant: rng.flip().then(|| random_id(rng)),
+                instance: {
+                    let shapes = rng.flip();
+                    ccs_session::SessionInstance::from_instance(&random_instance(rng, shapes))
+                },
+            },
+            1 => SessionFrame::Open {
+                id,
+                tenant: rng.flip().then(|| random_id(rng)),
+                instance: ccs_session::SessionInstance::new(1 + rng.next(9), 1 + rng.next(3))
+                    .unwrap(),
+            },
+            2 => {
+                let deltas = (0..rng.next(4))
+                    .map(|_| match rng.next(4) {
+                        0 => ccs_session::InstanceDelta::AddJobs(
+                            (0..1 + rng.next(3))
+                                .map(|_| ccs_session::NewJob {
+                                    processing: 1 + rng.next(50),
+                                    class: rng.next(9) as u32,
+                                    shapes: if rng.flip() {
+                                        vec![(1, 1 + rng.next(50)), (2, 1 + rng.next(9))]
+                                    } else {
+                                        Vec::new()
+                                    },
+                                })
+                                .collect(),
+                        ),
+                        1 => ccs_session::InstanceDelta::RemoveJobs(
+                            (0..rng.next(4)).map(|_| rng.next(20)).collect(),
+                        ),
+                        2 => ccs_session::InstanceDelta::AddMachines(1 + rng.next(5)),
+                        _ => ccs_session::InstanceDelta::RetypeClass {
+                            from: rng.next(9) as u32,
+                            to: rng.next(9) as u32,
+                        },
+                    })
+                    .collect();
+                SessionFrame::Delta {
+                    id,
+                    session,
+                    deltas,
+                }
+            }
+            3 => {
+                let model = *rng.pick(&models());
+                let mut request = random_request(rng, model);
+                if rng.flip() {
+                    request = request.with_warm(random_warm(rng));
+                }
+                SessionFrame::Solve {
+                    id,
+                    session,
+                    request,
+                }
+            }
+            _ => SessionFrame::Close { id, session },
+        }
+    }
+
+    /// Request and session frames are the reference's bytes.
+    #[test]
+    fn request_and_session_frames_match_the_tree_reference() {
+        let mut rng = Lcg(0x4E0_5E55);
+        for round in 0..300 {
+            let req = random_wire_request(&mut rng, true);
+            assert_eq!(
+                request_to_line(&req),
+                reference::request_to_json(&req).to_json(),
+                "round {round}"
+            );
+            let frame = random_session_frame(&mut rng);
+            assert_eq!(
+                session_frame_to_line(&frame),
+                reference::session_frame_to_json(&frame).to_json(),
+                "round {round}"
+            );
+        }
+    }
+
+    /// The frame encoders as they were before frames were written through
+    /// [`JsonWriter`]: each frame built as a [`JsonValue`] tree, then
+    /// rendered.  The oracle of the differential tests below.
+    mod reference {
+        use super::super::*;
+        use crate::policy::Accuracy;
+
+        fn instance_to_json(inst: &Instance) -> JsonValue {
+            let mut map = std::collections::BTreeMap::new();
+            map.insert(
+                "processing_times".to_string(),
+                JsonValue::Array(
+                    inst.processing_times()
+                        .iter()
+                        .map(|&p| JsonValue::Int(p as i128))
+                        .collect(),
+                ),
+            );
+            map.insert(
+                "class_labels_per_job".to_string(),
+                JsonValue::Array(
+                    inst.classes()
+                        .iter()
+                        .map(|&u| JsonValue::Int(inst.class_label(u) as i128))
+                        .collect(),
+                ),
+            );
+            map.insert(
+                "machines".to_string(),
+                JsonValue::Int(inst.machines() as i128),
+            );
+            map.insert(
+                "class_slots".to_string(),
+                JsonValue::Int(inst.class_slots() as i128),
+            );
+            if let Some(shapes) = inst.job_shapes() {
+                map.insert(
+                    "job_shapes".to_string(),
+                    JsonValue::Array(
+                        shapes
+                            .iter()
+                            .map(|menu| {
+                                JsonValue::Array(
+                                    menu.iter()
+                                        .map(|&(k, t)| {
+                                            JsonValue::Array(vec![
+                                                JsonValue::Int(k as i128),
+                                                JsonValue::Int(t as i128),
+                                            ])
+                                        })
+                                        .collect(),
+                                )
+                            })
+                            .collect(),
+                    ),
+                );
+            }
+            JsonValue::Object(map)
+        }
+
+        fn delta_to_json(delta: &ccs_session::InstanceDelta) -> JsonValue {
+            let mut obj = JsonValue::object();
+            match delta {
+                ccs_session::InstanceDelta::AddJobs(jobs) => {
+                    obj.set(
+                        "add_jobs",
+                        JsonValue::Array(
+                            jobs.iter()
+                                .map(|job| {
+                                    let mut j = JsonValue::object();
+                                    j.set("p", job.processing);
+                                    j.set("class", u64::from(job.class));
+                                    if !job.shapes.is_empty() {
+                                        j.set(
+                                            "shapes",
+                                            JsonValue::Array(
+                                                job.shapes
+                                                    .iter()
+                                                    .map(|&(k, t)| {
+                                                        JsonValue::Array(vec![
+                                                            JsonValue::Int(k as i128),
+                                                            JsonValue::Int(t as i128),
+                                                        ])
+                                                    })
+                                                    .collect(),
+                                            ),
+                                        );
+                                    }
+                                    j
+                                })
+                                .collect(),
+                        ),
+                    );
+                }
+                ccs_session::InstanceDelta::RemoveJobs(ids) => {
+                    obj.set(
+                        "remove_jobs",
+                        JsonValue::Array(
+                            ids.iter().map(|&id| JsonValue::Int(id as i128)).collect(),
+                        ),
+                    );
+                }
+                ccs_session::InstanceDelta::AddMachines(count) => {
+                    obj.set("add_machines", *count);
+                }
+                ccs_session::InstanceDelta::RetypeClass { from, to } => {
+                    let mut r = JsonValue::object();
+                    r.set("from", u64::from(*from));
+                    r.set("to", u64::from(*to));
+                    obj.set("retype_class", r);
+                }
+            }
+            obj
+        }
+
+        fn error_to_json(err: &CcsError) -> JsonValue {
+            // The unsupported-model frame carries the verbatim model string under
+            // `model` (not `message`): clients match on it for forward-compat
+            // negotiation, so it must stay machine-readable rather than prose.
+            if let CcsError::UnsupportedModel(model) = err {
+                let mut obj = JsonValue::object();
+                obj.set("kind", "unsupported-model");
+                obj.set("model", model.as_str());
+                return obj;
+            }
+            let (kind, message) = match err {
+                CcsError::InvalidInstance(m) => ("invalid_instance", Some(m)),
+                CcsError::InvalidSchedule(m) => ("invalid_schedule", Some(m)),
+                CcsError::Infeasible(m) => ("infeasible", Some(m)),
+                CcsError::Internal(m) => ("internal", Some(m)),
+                CcsError::InvalidParameter(m) => ("invalid_parameter", Some(m)),
+                CcsError::DeadlineExceeded => ("deadline_exceeded", None),
+                CcsError::Cancelled => ("cancelled", None),
+                CcsError::Overloaded(m) => ("overloaded", Some(m)),
+                CcsError::UnsupportedModel(_) => unreachable!("handled above"),
+            };
+            let mut obj = JsonValue::object();
+            obj.set("kind", kind);
+            if let Some(message) = message {
+                obj.set("message", message.as_str());
+            }
+            obj
+        }
+
+        fn rational_to_json(r: Rational) -> JsonValue {
+            let mut obj = JsonValue::object();
+            obj.set("n", JsonValue::Int(r.numer()));
+            obj.set("d", JsonValue::Int(r.denom()));
+            obj
+        }
+
+        pub(super) fn request_to_json(req: &WireRequest) -> JsonValue {
+            let mut obj = JsonValue::object();
+            obj.set("schema", SCHEMA);
+            obj.set("id", req.id.as_str());
+            if let Some(tenant) = &req.tenant {
+                obj.set("tenant", tenant.as_str());
+            }
+            obj.set("instance", instance_to_json(&req.instance));
+            solve_params_to_json(&mut obj, &req.request);
+            obj
+        }
+
+        fn solve_params_to_json(obj: &mut JsonValue, request: &SolveRequest) {
+            obj.set("model", request.model.name());
+            let accuracy = match request.accuracy {
+                Accuracy::Auto => JsonValue::Str("auto".to_string()),
+                Accuracy::Exact => JsonValue::Str("exact".to_string()),
+                Accuracy::Epsilon(eps) => {
+                    let mut o = JsonValue::object();
+                    o.set("epsilon", eps);
+                    o
+                }
+            };
+            obj.set("accuracy", accuracy);
+            if let Some(budget) = request.budget {
+                obj.set("budget_ms", budget_ms_to_json(budget));
+            }
+            if request.validate {
+                obj.set("validate", true);
+            }
+            if let Some(warm) = request.warm {
+                obj.set("warm", warm_to_json(&warm));
+            }
+        }
+
+        fn warm_to_json(warm: &crate::policy::WarmStart) -> JsonValue {
+            let mut obj = JsonValue::object();
+            obj.set("parent", fingerprint_to_hex(warm.parent));
+            obj.set("makespan", rational_to_json(warm.makespan));
+            obj
+        }
+
+        fn budget_ms_to_json(budget: Duration) -> JsonValue {
+            let nanos = budget.as_nanos();
+            if nanos.is_multiple_of(1_000_000) {
+                JsonValue::Int((nanos / 1_000_000) as i128)
+            } else {
+                JsonValue::from(nanos as f64 / 1e6)
+            }
+        }
+
+        pub(super) fn session_frame_to_json(frame: &SessionFrame) -> JsonValue {
+            let mut obj = JsonValue::object();
+            obj.set("schema", SCHEMA);
+            obj.set("op", "session");
+            match frame {
+                SessionFrame::Open {
+                    id,
+                    tenant,
+                    instance,
+                } => {
+                    obj.set("action", "open");
+                    obj.set("id", id.as_str());
+                    if let Some(tenant) = tenant {
+                        obj.set("tenant", tenant.as_str());
+                    }
+                    match instance.materialize() {
+                        Ok(inst) => obj.set("instance", instance_to_json(&inst)),
+                        // Empty sessions have no materialisable instance; the wire
+                        // form carries the dimensions instead.
+                        Err(_) => {
+                            obj.set("machines", instance.machines());
+                            obj.set("class_slots", instance.class_slots());
+                        }
+                    }
+                }
+                SessionFrame::Delta {
+                    id,
+                    session,
+                    deltas,
+                } => {
+                    obj.set("action", "delta");
+                    obj.set("id", id.as_str());
+                    obj.set("session", session.as_str());
+                    obj.set(
+                        "deltas",
+                        JsonValue::Array(deltas.iter().map(delta_to_json).collect()),
+                    );
+                }
+                SessionFrame::Solve {
+                    id,
+                    session,
+                    request,
+                } => {
+                    obj.set("action", "solve");
+                    obj.set("id", id.as_str());
+                    obj.set("session", session.as_str());
+                    solve_params_to_json(&mut obj, request);
+                }
+                SessionFrame::Close { id, session } => {
+                    obj.set("action", "close");
+                    obj.set("id", id.as_str());
+                    obj.set("session", session.as_str());
+                }
+            }
+            obj
+        }
+
+        pub(super) fn session_ack_to_json(ack: &SessionAck) -> JsonValue {
+            let mut obj = JsonValue::object();
+            obj.set("schema", SCHEMA);
+            match ack {
+                SessionAck::State {
+                    id,
+                    session,
+                    jobs,
+                    machines,
+                    fingerprint,
+                } => {
+                    obj.set("id", id.as_str());
+                    obj.set("status", "session");
+                    obj.set("session", session.as_str());
+                    obj.set("jobs", *jobs);
+                    obj.set("machines", *machines);
+                    obj.set("fingerprint", fingerprint_to_hex(*fingerprint));
+                }
+                SessionAck::Closed { id, session } => {
+                    obj.set("id", id.as_str());
+                    obj.set("status", "session");
+                    obj.set("session", session.as_str());
+                    obj.set("closed", true);
+                }
+            }
+            obj
+        }
+
+        fn guarantee_to_json(g: Guarantee) -> JsonValue {
+            match g {
+                Guarantee::Exact => JsonValue::Str("exact".to_string()),
+                Guarantee::Heuristic => JsonValue::Str("heuristic".to_string()),
+                Guarantee::Factor(f) => {
+                    let mut obj = JsonValue::object();
+                    obj.set("factor", rational_to_json(f));
+                    obj
+                }
+            }
+        }
+
+        fn stats_to_json(stats: &SolveStats) -> JsonValue {
+            let mut obj = JsonValue::object();
+            obj.set("search_iterations", stats.search_iterations);
+            obj.set("guesses_evaluated", stats.guesses_evaluated);
+            obj.set("configurations", stats.configurations);
+            obj
+        }
+
+        fn pieces_to_json(pieces: &[(usize, Rational)]) -> JsonValue {
+            JsonValue::Array(
+                pieces
+                    .iter()
+                    .map(|&(job, amount)| {
+                        let mut piece = JsonValue::object();
+                        piece.set("job", job);
+                        piece.set("amount", rational_to_json(amount));
+                        piece
+                    })
+                    .collect(),
+            )
+        }
+
+        fn schedule_to_json(schedule: &AnySchedule) -> JsonValue {
+            let mut obj = JsonValue::object();
+            match schedule {
+                AnySchedule::NonPreemptive(s) => {
+                    obj.set("kind", "non-preemptive");
+                    obj.set(
+                        "assignment",
+                        JsonValue::Array(
+                            s.assignment()
+                                .iter()
+                                .map(|&m| JsonValue::Int(m as i128))
+                                .collect(),
+                        ),
+                    );
+                }
+                AnySchedule::Splittable(s) => {
+                    obj.set("kind", "splittable");
+                    obj.set(
+                        "explicit",
+                        JsonValue::Array(
+                            s.explicit()
+                                .iter()
+                                .map(|em| {
+                                    let mut machine = JsonValue::object();
+                                    machine.set("machine", em.machine);
+                                    machine.set("pieces", pieces_to_json(&em.pieces));
+                                    machine
+                                })
+                                .collect(),
+                        ),
+                    );
+                    obj.set(
+                        "runs",
+                        JsonValue::Array(
+                            s.runs()
+                                .iter()
+                                .map(|run| {
+                                    let mut r = JsonValue::object();
+                                    r.set("first_machine", run.first_machine);
+                                    r.set("count", run.count);
+                                    r.set("class", run.class);
+                                    r.set("offset", rational_to_json(run.offset));
+                                    r.set("chunk", rational_to_json(run.chunk));
+                                    r
+                                })
+                                .collect(),
+                        ),
+                    );
+                }
+                AnySchedule::Preemptive(s) => {
+                    obj.set("kind", "preemptive");
+                    obj.set(
+                        "machines",
+                        JsonValue::Array(
+                            s.machines()
+                                .iter()
+                                .map(|pieces| {
+                                    JsonValue::Array(
+                                        pieces
+                                            .iter()
+                                            .map(|piece| {
+                                                let mut p = JsonValue::object();
+                                                p.set("job", piece.job);
+                                                p.set("start", rational_to_json(piece.start));
+                                                p.set("len", rational_to_json(piece.len));
+                                                p
+                                            })
+                                            .collect(),
+                                    )
+                                })
+                                .collect(),
+                        ),
+                    );
+                }
+                AnySchedule::Moldable(s) => {
+                    obj.set("kind", "moldable");
+                    obj.set(
+                        "choices",
+                        JsonValue::Array(
+                            s.choices()
+                                .iter()
+                                .map(|(shape, machines)| {
+                                    let mut choice = JsonValue::object();
+                                    choice.set("shape", *shape);
+                                    choice.set(
+                                        "machines",
+                                        JsonValue::Array(
+                                            machines
+                                                .iter()
+                                                .map(|&m| JsonValue::Int(m as i128))
+                                                .collect(),
+                                        ),
+                                    );
+                                    choice
+                                })
+                                .collect(),
+                        ),
+                    );
+                }
+            }
+            obj
+        }
+
+        fn wire_solution_to_json(sol: &WireSolution) -> JsonValue {
+            let mut obj = JsonValue::object();
+            obj.set("solver", sol.solver.as_str());
+            obj.set("guarantee", guarantee_to_json(sol.guarantee));
+            obj.set("makespan", rational_to_json(sol.makespan));
+            obj.set("lower_bound", rational_to_json(sol.lower_bound));
+            obj.set("stats", stats_to_json(&sol.stats));
+            obj.set("schedule", schedule_to_json(&sol.schedule));
+            if let Some(cache) = sol.cache {
+                obj.set("cache", cache.name());
+            }
+            obj
+        }
+
+        fn response_frame(id: &str) -> JsonValue {
+            let mut obj = JsonValue::object();
+            obj.set("schema", SCHEMA);
+            obj.set("id", id);
+            obj
+        }
+
+        pub(super) fn solution_to_json(id: &str, solution: &Solution) -> JsonValue {
+            wire_response_to_json(&WireResponse {
+                id: id.to_string(),
+                outcome: Ok(WireSolution::from(solution)),
+            })
+        }
+
+        pub(super) fn error_response_to_json(id: &str, error: &CcsError) -> JsonValue {
+            wire_response_to_json(&WireResponse {
+                id: id.to_string(),
+                outcome: Err(error.clone()),
+            })
+        }
+
+        pub(super) fn wire_response_to_json(response: &WireResponse) -> JsonValue {
+            let mut obj = response_frame(&response.id);
+            match &response.outcome {
+                Ok(solution) => {
+                    obj.set("status", "ok");
+                    obj.set("solution", wire_solution_to_json(solution));
+                }
+                Err(error) => {
+                    obj.set("status", "error");
+                    obj.set("error", error_to_json(error));
+                }
+            }
+            obj
+        }
+
+        fn snapshot_to_json(snap: &ccs_core::StatsSnapshot) -> JsonValue {
+            let mut obj = JsonValue::object();
+            obj.set("solves", snap.solves);
+            obj.set("checkpoints", snap.checkpoints);
+            obj.set("search_iterations", snap.search_iterations);
+            obj.set("guesses_evaluated", snap.guesses_evaluated);
+            obj.set("configurations", snap.configurations);
+            obj.set("shed", snap.shed);
+            obj.set("queue_depth", snap.queue_depth);
+            obj.set("cache_hits", snap.cache_hits);
+            obj.set("cache_misses", snap.cache_misses);
+            obj.set("cache_evictions", snap.cache_evictions);
+            obj.set("warm_hits", snap.warm_hits);
+            obj.set("warm_misses", snap.warm_misses);
+            obj
+        }
+
+        pub(super) fn stats_response_to_json(id: &str, stats: &ServiceStats) -> JsonValue {
+            let mut payload = JsonValue::object();
+            payload.set("engine", snapshot_to_json(&stats.engine));
+            payload.set("connections", stats.connections);
+            payload.set("active_connections", stats.active_connections);
+            payload.set("admitted", stats.admitted);
+            payload.set("completed", stats.completed);
+            payload.set("shed_overload", stats.shed_overload);
+            payload.set("shed_quota", stats.shed_quota);
+            payload.set("sessions_opened", stats.sessions_opened);
+            payload.set("sessions_active", stats.sessions_active);
+            payload.set("stats_ticks", stats.stats_ticks);
+            payload.set(
+                "tenants",
+                JsonValue::Array(
+                    stats
+                        .tenants
+                        .iter()
+                        .map(|t| {
+                            let mut obj = JsonValue::object();
+                            obj.set("tenant", t.tenant.as_str());
+                            obj.set("admitted", t.admitted);
+                            obj.set("completed", t.completed);
+                            obj.set("shed", t.shed);
+                            obj.set("sessions", t.sessions);
+                            obj
+                        })
+                        .collect(),
+                ),
+            );
+            let mut obj = response_frame(id);
+            obj.set("status", "stats");
+            obj.set("stats", payload);
+            obj
+        }
     }
 }

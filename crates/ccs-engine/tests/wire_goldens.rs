@@ -4,12 +4,20 @@
 //! Two committed fixtures under `ci/` pin the error side of `ccs-wire/1`:
 //!
 //! * `wire-error-frames.ndjson` — one frame per [`CcsError`] variant
-//!   (including `Cancelled`, which a batch service run cannot trigger
-//!   deterministically), pinned byte-for-byte against the codec,
+//!   (including `Cancelled` and `Overloaded`, which a batch service run
+//!   cannot trigger deterministically) plus the frame-cap frame, pinned
+//!   byte-for-byte against the codec,
 //! * `serve-error-requests.ndjson` / `serve-error-expected.ndjson` — request
 //!   lines that each provoke an error (`budget_ms: 0` deadline, malformed
 //!   JSON, missing/unknown model, schema skew, negative budget, nesting past
 //!   the JSON depth limit) and the exact response bytes.
+//!
+//! `codec-requests.ndjson` / `codec-expected.ndjson` pin what the frame
+//! writer and the request decoder touch: a stats frame, moldable
+//! solutions, escaped and non-ASCII ids (a UTF-16 surrogate pair among
+//! them), a tenant, reordered, spaced and duplicated members, and the
+//! optional request members (`op`, `validate`, a fractional `budget_ms`,
+//! `warm`).
 //!
 //! Every `ci/*-requests.ndjson` / `*-expected.ndjson` pair is also replayed
 //! here through [`serve`] — the driver both binaries run — so the goldens
@@ -20,7 +28,7 @@
 
 use ccs_core::{CcsError, Rational};
 use ccs_engine::wire::{self, WireResponse};
-use ccs_engine::{serve, Engine, NetdConfig, Service, SolveRequest};
+use ccs_engine::{serve, Engine, NetdConfig, Service, SolveRequest, MAX_FRAME_BYTES};
 use std::path::PathBuf;
 use std::sync::mpsc;
 
@@ -56,6 +64,17 @@ fn golden_errors() -> Vec<(&'static str, CcsError)> {
         // Forward compatibility: a model id this build does not know is a
         // structured frame carrying the verbatim string, never a parse error.
         ("bad-model", CcsError::unsupported_model("quantum")),
+        // Admission control sheds with the one variant a batch replay
+        // cannot provoke on purpose.
+        (
+            "shed",
+            CcsError::overloaded("queue budget 8 exhausted (8 requests in flight); retry later"),
+        ),
+        // The frame cap: the line is gone, so its id is not recoverable.
+        (
+            "",
+            CcsError::invalid_parameter(format!("wire: frame exceeds {MAX_FRAME_BYTES} bytes")),
+        ),
     ]
 }
 
@@ -101,7 +120,7 @@ fn replay(requests: &str) -> String {
 /// --ordered` replays).
 #[test]
 fn every_golden_replays_byte_exact_through_a_connection() {
-    for name in ["serve", "serve-error", "session", "ptas"] {
+    for name in ["serve", "serve-error", "session", "ptas", "codec"] {
         let produced = replay(&fixture(&format!("{name}-requests.ndjson")));
         assert_eq!(
             produced,

@@ -27,7 +27,7 @@
 
 use crate::rng::Rng;
 use crate::{GenParams, ZipfSampler};
-use ccs_core::json::JsonValue;
+use ccs_core::json::{self, JsonValue};
 use ccs_core::{Instance, ModelSpec, ScheduleKind};
 
 /// Epsilons that keep every paper model on its constant-factor tier
@@ -442,7 +442,12 @@ impl Trace {
         obj.set("seed", self.seed);
         obj.set(
             "pool",
-            JsonValue::Array(self.pool.iter().map(Instance::to_json_value).collect()),
+            JsonValue::Array(
+                self.pool
+                    .iter()
+                    .map(|inst| json::parse(&inst.to_json()).expect("an instance's JSON parses"))
+                    .collect(),
+            ),
         );
         obj.set(
             "events",

@@ -1,6 +1,6 @@
 //! The mutation vocabulary of a session and its JSON wire codec.
 
-use ccs_core::json::JsonValue;
+use ccs_core::json::{JsonValue, JsonWriter};
 use ccs_core::{CcsError, JobShape, Result};
 
 fn err(msg: impl Into<String>) -> CcsError {
@@ -56,7 +56,7 @@ pub enum InstanceDelta {
     },
 }
 
-/// Serialises a delta to its wire form — an object with exactly one of the
+/// Writes a delta in its wire form — an object with exactly one of the
 /// members `add_jobs`, `remove_jobs`, `add_machines`, `retype_class`:
 ///
 /// ```json
@@ -70,60 +70,47 @@ pub enum InstanceDelta {
 /// The `shapes` member (a moldable shape menu, `[machines, time]` pairs) is
 /// omitted for jobs without a declared menu, so unshaped sessions keep
 /// their exact pre-extension wire bytes.
-pub fn delta_to_json(delta: &InstanceDelta) -> JsonValue {
-    let mut obj = JsonValue::object();
-    match delta {
+pub fn write_delta(w: &mut JsonWriter, delta: &InstanceDelta) {
+    w.object(|w| match delta {
         InstanceDelta::AddJobs(jobs) => {
-            obj.set(
-                "add_jobs",
-                JsonValue::Array(
-                    jobs.iter()
-                        .map(|job| {
-                            let mut j = JsonValue::object();
-                            j.set("p", job.processing);
-                            j.set("class", u64::from(job.class));
-                            if !job.shapes.is_empty() {
-                                j.set(
-                                    "shapes",
-                                    JsonValue::Array(
-                                        job.shapes
-                                            .iter()
-                                            .map(|&(k, t)| {
-                                                JsonValue::Array(vec![
-                                                    JsonValue::Int(k as i128),
-                                                    JsonValue::Int(t as i128),
-                                                ])
-                                            })
-                                            .collect(),
-                                    ),
-                                );
-                            }
-                            j
-                        })
-                        .collect(),
-                ),
-            );
+            w.key("add_jobs").array(|w| {
+                for job in jobs {
+                    w.object(|w| {
+                        w.key("class").u64(u64::from(job.class));
+                        w.key("p").u64(job.processing);
+                        if !job.shapes.is_empty() {
+                            w.key("shapes").array(|w| {
+                                for &(k, t) in &job.shapes {
+                                    w.array(|w| {
+                                        w.u64(k).u64(t);
+                                    });
+                                }
+                            });
+                        }
+                    });
+                }
+            });
         }
         InstanceDelta::RemoveJobs(ids) => {
-            obj.set(
-                "remove_jobs",
-                JsonValue::Array(ids.iter().map(|&id| JsonValue::Int(id as i128)).collect()),
-            );
+            w.key("remove_jobs").array(|w| {
+                for &id in ids {
+                    w.u64(id);
+                }
+            });
         }
         InstanceDelta::AddMachines(count) => {
-            obj.set("add_machines", *count);
+            w.key("add_machines").u64(*count);
         }
         InstanceDelta::RetypeClass { from, to } => {
-            let mut r = JsonValue::object();
-            r.set("from", u64::from(*from));
-            r.set("to", u64::from(*to));
-            obj.set("retype_class", r);
+            w.key("retype_class").object(|w| {
+                w.key("from").u64(u64::from(*from));
+                w.key("to").u64(u64::from(*to));
+            });
         }
-    }
-    obj
+    });
 }
 
-/// Parses the wire form produced by [`delta_to_json`].  Exactly one delta
+/// Parses the wire form written by [`write_delta`].  Exactly one delta
 /// member must be present; unknown or ambiguous objects are rejected.
 pub fn delta_from_json(value: &JsonValue) -> Result<InstanceDelta> {
     let members = value
@@ -237,11 +224,11 @@ mod tests {
             InstanceDelta::RetypeClass { from: 2, to: 0 },
         ];
         for delta in deltas {
-            let line = delta_to_json(&delta).to_json();
+            let line = JsonWriter::line(|w| write_delta(w, &delta)).into_string();
             let back = delta_from_json(&parse(&line).unwrap()).unwrap();
             assert_eq!(back, delta, "{line}");
             // Canonical: a second trip yields identical bytes.
-            assert_eq!(delta_to_json(&back).to_json(), line);
+            assert_eq!(JsonWriter::line(|w| write_delta(w, &back)).as_str(), line);
         }
     }
 

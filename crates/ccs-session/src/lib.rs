@@ -32,6 +32,6 @@ pub mod delta;
 pub mod instance;
 pub mod store;
 
-pub use delta::{delta_from_json, delta_to_json, InstanceDelta, NewJob};
+pub use delta::{delta_from_json, write_delta, InstanceDelta, NewJob};
 pub use instance::{SessionInstance, SessionJob};
 pub use store::{Session, SessionStore, WarmRecord};
