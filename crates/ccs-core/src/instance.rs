@@ -10,7 +10,8 @@ pub mod canonical;
 use crate::error::{CcsError, Result};
 use crate::json::{self, JsonValue, JsonWriter};
 use crate::rational::Rational;
-use std::collections::BTreeMap;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 pub use canonical::{CanonicalInstance, Fingerprint, IncrementalFingerprint};
 
@@ -494,7 +495,8 @@ impl InstanceBuilder {
         let job_shapes = if any_declared { Some(job_shapes) } else { None };
 
         // Remap class labels to dense indices in order of first appearance.
-        let mut label_to_dense: BTreeMap<u32, ClassId> = BTreeMap::new();
+        let mut label_to_dense: HashMap<u32, ClassId, BuildHasherDefault<LabelHasher>> =
+            HashMap::default();
         let mut class_labels: Vec<u32> = Vec::new();
         let mut classes: Vec<ClassId> = Vec::with_capacity(self.processing_times.len());
         for &label in &self.class_labels_per_job {
@@ -507,7 +509,12 @@ impl InstanceBuilder {
         }
 
         let num_classes = class_labels.len();
-        let mut class_jobs: Vec<Vec<JobId>> = vec![Vec::new(); num_classes];
+        let mut class_sizes = vec![0usize; num_classes];
+        for &u in &classes {
+            class_sizes[u] += 1;
+        }
+        let mut class_jobs: Vec<Vec<JobId>> =
+            class_sizes.into_iter().map(Vec::with_capacity).collect();
         let mut class_loads: Vec<u64> = vec![0; num_classes];
         for (job, (&p, &u)) in self.processing_times.iter().zip(&classes).enumerate() {
             class_jobs[u].push(job);
@@ -524,6 +531,29 @@ impl InstanceBuilder {
             class_loads,
             job_shapes,
         })
+    }
+}
+
+/// The hasher of the builder's label map: the SplitMix64 finaliser of the
+/// label.  Every label bit reaches the bucket bits, so labels spaced `2^k`
+/// apart (which any client can send) spread like any others; a bare
+/// multiply would leave the bucket to the label's low bits alone.
+#[derive(Default)]
+struct LabelHasher(u64);
+
+impl Hasher for LabelHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 = canonical::splitmix64(self.0 ^ u64::from(byte));
+        }
+    }
+
+    fn write_u32(&mut self, label: u32) {
+        self.0 = canonical::splitmix64(self.0 ^ u64::from(label));
     }
 }
 
@@ -597,6 +627,35 @@ mod tests {
         assert_eq!(inst.class_of(0), 0);
         assert_eq!(inst.class_of(1), 1);
         assert_eq!(inst.class_of(3), 2);
+        // Many labels spaced 2^20 apart, then the extremes.
+        let labels: Vec<u32> = (0..300u32)
+            .map(|i| (i % 150) << 20)
+            .chain([u32::MAX, 0, 7])
+            .collect();
+        let pairs: Vec<(u64, u32)> = labels.iter().map(|&label| (1, label)).collect();
+        let inst = instance_from_pairs(4, 2, &pairs).unwrap();
+        assert_eq!(inst.num_classes(), 152);
+        for (job, &label) in labels.iter().enumerate() {
+            assert_eq!(inst.class_label(inst.class_of(job)), label);
+        }
+        assert_eq!(inst.class_of(149), 149);
+        assert_eq!(inst.class_of(150), 0);
+        assert_eq!(inst.class_of(300), 150);
+        assert_eq!(inst.class_of(302), 151);
+    }
+
+    #[test]
+    fn label_hashes_spread_labels_spaced_a_power_of_two_apart() {
+        // The bucket index comes from a hash's low bits: labels `k << 20`
+        // must not share them (a bare multiply would map all 64 to one).
+        let low_bits: std::collections::BTreeSet<u64> = (0..64u32)
+            .map(|k| {
+                let mut h = LabelHasher::default();
+                h.write_u32(k << 20);
+                h.finish() & 63
+            })
+            .collect();
+        assert!(low_bits.len() >= 32, "{} distinct buckets", low_bits.len());
     }
 
     #[test]

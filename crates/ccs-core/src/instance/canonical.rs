@@ -118,32 +118,48 @@ impl Instance {
         let num_classes = self.num_classes();
 
         // 1. Class signatures: the ascending (processing time, declared
-        // menu) pairs of each class.  Plain instances have empty menus
-        // everywhere, making this exactly the old processing-time multiset.
+        // menu) pairs of each class, as slices of one flat vector.  Plain
+        // instances have empty menus everywhere, making this exactly the
+        // old processing-time multiset.
         let menu_of = |job: JobId| self.declared_shapes(job).unwrap_or(&[]);
-        let mut signatures: Vec<Vec<(u64, &[JobShape])>> = vec![Vec::new(); num_classes];
-        for job in 0..n {
-            signatures[self.class_of(job)].push((self.processing_time(job), menu_of(job)));
+        let mut pairs: Vec<(u64, &[JobShape])> = Vec::with_capacity(n);
+        let mut start = Vec::with_capacity(num_classes + 1);
+        start.push(0);
+        for class in 0..num_classes {
+            let from = pairs.len();
+            pairs.extend(
+                self.jobs_of_class(class)
+                    .iter()
+                    .map(|&job| (self.processing_time(job), menu_of(job))),
+            );
+            pairs[from..].sort_unstable();
+            start.push(pairs.len());
         }
-        for sig in &mut signatures {
-            sig.sort_unstable();
-        }
+        let signature = |class: ClassId| &pairs[start[class]..start[class + 1]];
 
-        // 2. Rank classes by signature.  Classes with equal signatures are
-        // interchangeable: whichever relative rank the sort assigns them,
-        // the canonical job list below comes out identical.
+        // 2. Rank classes by signature, ties by class index.  Classes with
+        // equal signatures are interchangeable: whichever relative rank they
+        // get, the canonical job list below comes out identical.
         let mut by_signature: Vec<ClassId> = (0..num_classes).collect();
-        by_signature.sort_by(|&a, &b| signatures[a].cmp(&signatures[b]));
+        by_signature.sort_by(|&a, &b| signature(a).cmp(signature(b)));
         let mut rank = vec![0usize; num_classes];
         for (r, &class) in by_signature.iter().enumerate() {
             rank[class] = r;
         }
 
-        // 3. Jobs by (processing time, class rank, declared menu).  Ties
-        // after all three keys are jobs of equal length and equal menu in
-        // the same class — interchangeable.
-        let mut job_order: Vec<JobId> = (0..n).collect();
-        job_order.sort_by_key(|&j| (self.processing_time(j), rank[self.class_of(j)], menu_of(j)));
+        // 3. Jobs by (processing time, class rank, declared menu, job
+        // index).  Ties on the first three keys are jobs of equal length
+        // and equal menu in the same class — interchangeable; the index
+        // makes the order total, so an unstable sort is deterministic.
+        let mut jobs: Vec<(u64, usize, JobId)> = (0..n)
+            .map(|job| (self.processing_time(job), rank[self.class_of(job)], job))
+            .collect();
+        jobs.sort_unstable_by(|a, b| {
+            (a.0, a.1)
+                .cmp(&(b.0, b.1))
+                .then_with(|| menu_of(a.2).cmp(menu_of(b.2)))
+                .then(a.2.cmp(&b.2))
+        });
 
         // 4. Absorb the canonical word stream along the sorted job list,
         // renumbering classes by first occurrence.  The menus of a
@@ -152,14 +168,16 @@ impl Instance {
         let mut mixer = Mixer::header(self.machines(), self.class_slots(), n, num_classes);
         let mut canonical_of_class: Vec<Option<u64>> = vec![None; num_classes];
         let mut class_order: Vec<ClassId> = Vec::with_capacity(num_classes);
-        for &job in &job_order {
+        let mut job_order: Vec<JobId> = Vec::with_capacity(n);
+        for &(p, _, job) in &jobs {
             let class = self.class_of(job);
             let label = *canonical_of_class[class].get_or_insert_with(|| {
                 class_order.push(class);
                 (class_order.len() - 1) as u64
             });
-            mixer.absorb(self.processing_time(job));
+            mixer.absorb(p);
             mixer.absorb(label);
+            job_order.push(job);
         }
         // The JobShapes extension section: tagged and versioned, absorbed
         // only when the slot is populated, so plain instances keep their
@@ -192,7 +210,7 @@ impl Instance {
 
 /// SplitMix64 finalising mix (Steele, Lea & Flood; the `splitmix64` PRNG's
 /// output function) — the same stable mixer `ccs-gen::rng` builds on.
-fn splitmix64(mut z: u64) -> u64 {
+pub(super) fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -646,6 +664,52 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Random instances built to tie: times from a short range, classes
+    /// that repeat another class's times (equal signatures), and on every
+    /// other instance shape menus from a small palette.
+    fn tied_instances(count: usize) -> Vec<Instance> {
+        let palette: [&[JobShape]; 4] = [&[], &[(1, 9), (2, 5)], &[(1, 9), (2, 6)], &[(1, 4)]];
+        let mut rng = Lcg(0x7_1ED);
+        (0..count)
+            .map(|case| {
+                let machines = 1 + rng.next(4);
+                let mut builder = InstanceBuilder::new(machines, 1 + rng.next(3));
+                let classes = 1 + rng.next(6) as u32;
+                for _ in 0..1 + rng.next(30) {
+                    let p = 1 + rng.next(6);
+                    let label = rng.next(u64::from(classes)) as u32;
+                    let menu = match case % 2 {
+                        0 => &[][..],
+                        _ => palette[rng.next(4) as usize],
+                    };
+                    // A menu must fit the machines; (1, p) alone is dropped.
+                    let menu = if menu.iter().all(|&(k, _)| k <= machines) {
+                        menu
+                    } else {
+                        &[][..]
+                    };
+                    builder = builder.job_shaped(p, label, menu);
+                    // Mirror some jobs into a twin class, so that classes
+                    // with equal signatures are common.
+                    if label.is_multiple_of(2) {
+                        builder = builder.job_shaped(p, label + 100, menu);
+                    }
+                }
+                builder.build().unwrap()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn random_tied_instances_match_the_reference() {
+        let mut shaped = 0;
+        for inst in tied_instances(2_000) {
+            shaped += usize::from(inst.has_shapes());
+            canonical_instance(&inst);
+        }
+        assert!(shaped > 500, "{shaped} shaped instances");
     }
 
     #[test]

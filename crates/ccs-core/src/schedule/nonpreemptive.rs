@@ -63,12 +63,29 @@ impl NonPreemptiveSchedule {
 
     /// The makespan as a plain integer (non-preemptive makespans are always
     /// integral).
+    ///
+    /// With `m ≤ n` the loads are summed into a vector of `m` entries; the
+    /// map of [`NonPreemptiveSchedule::machine_loads`] is kept for `m > n`,
+    /// where `m` may be far too large to allocate, and for machine ids out
+    /// of range.
     pub fn makespan_int(&self, inst: &Instance) -> u64 {
-        self.machine_loads(inst)
-            .values()
-            .copied()
-            .max()
-            .unwrap_or(0)
+        let dense = usize::try_from(inst.machines())
+            .ok()
+            .filter(|&m| m <= self.assignment.len())
+            .and_then(|m| {
+                let mut loads = vec![0u64; m];
+                for (job, &machine) in self.assignment.iter().enumerate() {
+                    *loads.get_mut(usize::try_from(machine).ok()?)? += inst.processing_time(job);
+                }
+                loads.into_iter().max()
+            });
+        dense.unwrap_or_else(|| {
+            self.machine_loads(inst)
+                .values()
+                .copied()
+                .max()
+                .unwrap_or(0)
+        })
     }
 }
 
@@ -167,6 +184,28 @@ mod tests {
         s.validate(&big).unwrap();
         assert_eq!(s.makespan_int(&big), 9);
         assert_eq!(s.used_machines().len(), 2);
+    }
+
+    #[test]
+    fn makespan_sums_dense_and_sparse_ids_alike() {
+        // m ≤ n with every id in range: the vector path.
+        let inst = instance_from_pairs(2, 2, &[(4, 0), (9, 1), (3, 0)]).unwrap();
+        assert_eq!(
+            NonPreemptiveSchedule::new(vec![0, 1, 0]).makespan_int(&inst),
+            9
+        );
+        assert_eq!(
+            NonPreemptiveSchedule::new(vec![1, 1, 0]).makespan_int(&inst),
+            13
+        );
+        // An id out of range (an invalid schedule) is still summed.
+        let stray = NonPreemptiveSchedule::new(vec![0, 7, 7]);
+        assert!(stray.validate(&inst).is_err());
+        assert_eq!(stray.makespan_int(&inst), 12);
+        // m > n: the map, however large m is.
+        let wide = instance_from_pairs(u64::MAX, 2, &[(4, 0), (9, 1), (3, 0)]).unwrap();
+        let s = NonPreemptiveSchedule::new(vec![u64::MAX - 1, 5, u64::MAX - 1]);
+        assert_eq!(s.makespan_int(&wide), 9);
     }
 
     #[test]

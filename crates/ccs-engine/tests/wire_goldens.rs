@@ -19,6 +19,12 @@
 //! optional request members (`op`, `validate`, a fractional `budget_ms`,
 //! `warm`).
 //!
+//! `approx-requests.ndjson` / `approx-expected.ndjson` pin the schedules of
+//! the constant-factor algorithms at real sizes: auto requests for the three
+//! paper models at 60–400 jobs (some with few jobs per machine, so the 7/3's
+//! large/medium pairing decides) and one 2,000-job request shaped like the
+//! `solve-bound` benchmark's.
+//!
 //! Every `ci/*-requests.ndjson` / `*-expected.ndjson` pair is also replayed
 //! here through [`serve`] — the driver both binaries run — so the goldens
 //! hold in the tier-1 suite, not only in CI's binary replays.
@@ -120,7 +126,7 @@ fn replay(requests: &str) -> String {
 /// --ordered` replays).
 #[test]
 fn every_golden_replays_byte_exact_through_a_connection() {
-    for name in ["serve", "serve-error", "session", "ptas", "codec"] {
+    for name in ["serve", "serve-error", "session", "ptas", "codec", "approx"] {
         let produced = replay(&fixture(&format!("{name}-requests.ndjson")));
         assert_eq!(
             produced,
